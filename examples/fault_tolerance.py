@@ -18,7 +18,7 @@ from repro.apps import AppContext, Jacobi3DConfig, run_jacobi3d
 from repro.hardware import Cluster, MachineSpec
 from repro.kernels import reference_solve
 from repro.runtime import CharmRuntime, restore_array, take_checkpoint
-from repro.apps.jacobi3d.charm_app import make_block_class
+from repro.apps.stencil import make_block_class
 
 GRID = (48, 48, 48)
 PHASE_ITERS = 6

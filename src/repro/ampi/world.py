@@ -133,32 +133,31 @@ def _make_rank_chare(world: "AmpiWorld"):
                 value = None
                 if isinstance(cmd, (Work, Launch, LaunchGraph)):
                     value = yield cmd  # the scheduler handles these natively
-                elif isinstance(cmd, _Isend):
+                elif isinstance(cmd, (_Isend, _Irecv)):
                     yield self.work(costs.call_overhead_s)
-                    handle = ucx.isend(
-                        self.pe.index,
-                        world.pe_of(cmd.dest),
-                        cmd.size,
-                        tag=("ampi", proc.rank, cmd.dest, cmd.tag),
-                        on_device=cmd.device,
-                        priority=PRIORITY_COMM,
-                        payload=cmd.payload,
-                    )
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_transfer_posted(handle, self)
-                    value = Request(handle, "send")
-                elif isinstance(cmd, _Irecv):
-                    yield self.work(costs.call_overhead_s)
-                    handle = ucx.irecv(
-                        world.pe_of(cmd.source),
-                        self.pe.index,
-                        cmd.size,
-                        tag=("ampi", cmd.source, proc.rank, cmd.tag),
-                        on_device=cmd.device,
-                    )
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_transfer_posted(handle, self)
-                    value = Request(handle, "recv")
+                    if isinstance(cmd, _Isend):
+                        handle = ucx.isend(
+                            self.pe.index,
+                            world.pe_of(cmd.dest),
+                            cmd.size,
+                            tag=("ampi", proc.rank, cmd.dest, cmd.tag),
+                            on_device=cmd.device,
+                            priority=PRIORITY_COMM,
+                            payload=cmd.payload,
+                        )
+                    else:
+                        handle = ucx.irecv(
+                            world.pe_of(cmd.source),
+                            self.pe.index,
+                            cmd.size,
+                            tag=("ampi", cmd.source, proc.rank, cmd.tag),
+                            on_device=cmd.device,
+                        )
+                    h = engine.hooks
+                    if h is not None:
+                        for fn in h.transfer_post:
+                            fn(handle, self, None)
+                    value = Request(handle, handle.kind)
                 elif isinstance(cmd, _WaitAll):
                     yield self.work(costs.completion_s * max(1, len(cmd.requests)))
                     pending = [r.done for r in cmd.requests if not r.done.processed]
@@ -166,15 +165,18 @@ def _make_rank_chare(world: "AmpiWorld"):
                         # The AMPI difference: suspend, don't spin — the PE
                         # is free for other virtual ranks meanwhile.
                         yield self.wait_all(pending)
-                    if engine.sanitizer is not None:
+                    h = engine.hooks
+                    if h is not None:
                         for r in cmd.requests:
-                            engine.sanitizer.on_wake(self, r.done)
+                            for fn in h.wake:
+                                fn(self, r.done)
                     value = [r.data for r in cmd.requests]
                 elif isinstance(cmd, Await):
                     if not cmd.event.processed:
                         yield self.wait(cmd.event)
-                    elif engine.sanitizer is not None:
-                        engine.sanitizer.on_wake(self, cmd.event)
+                    elif engine.hooks is not None:
+                        for fn in engine.hooks.wake:
+                            fn(self, cmd.event)
                     value = cmd.event.value
                 else:
                     raise SimulationError(

@@ -44,7 +44,7 @@ def run_app(
 
     ``validate=True`` attaches an :class:`~repro.validate.InvariantChecker`
     for the whole run and raises :class:`~repro.validate.InvariantError`
-    if any simulation invariant is breached.  Monitors are pure observers:
+    if any simulation invariant is breached.  Observers are passive:
     the event schedule (and therefore every result) is unchanged.
 
     ``sanitize`` attaches a happens-before concurrency
@@ -96,7 +96,7 @@ def run_app(
 
     def observer(name, unit, **data):
         metrics.on_event(name, unit, now=engine.now, **data)
-        if name == "iter_done" and engine.tracer is not None:
+        if name == "iter_done":
             key = getattr(unit, "index", None) or getattr(unit, "rank", None)
             trace(engine, "app.iter_done", str(key), iter=data["iter"])
 

@@ -16,10 +16,14 @@ registers its :class:`~repro.apps.registry.AppSpec`.
 """
 
 from ...hardware.specs import MachineSpec
+from ..driver import run_app as run_jacobi3d
 from ..registry import AppSpec, register
 from ..stencil import (
     STENCIL_PHASES,
     STENCIL_PHASE_KERNELS,
+    BlockData,
+    MetricsCollector,
+    ResidualHistory,
     StencilContext,
     StencilResult,
     classify_stencil_op,
@@ -29,8 +33,9 @@ from ..stencil import (
     make_rank_program,
 )
 from .config import ALL_VERSIONS, VERSIONS, Jacobi3DConfig, Jacobi3DResult
-from .context import AppContext, BlockData, MetricsCollector, ResidualHistory
-from .driver import run_jacobi3d
+
+#: The historical Jacobi3D name for the stencil core's per-run state.
+AppContext = StencilContext
 
 __all__ = [
     "make_block_class",

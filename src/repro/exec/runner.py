@@ -62,7 +62,7 @@ def validating_worker(config_dict: dict):
     """:func:`default_worker` with the invariant checker attached: the run
     raises :class:`~repro.validate.InvariantError` on any simulation
     invariant breach instead of returning a silently-wrong result.
-    Results are bit-identical to :func:`default_worker`'s (monitors are
+    Results are bit-identical to :func:`default_worker`'s (observers are
     pure observers)."""
     return run_app(config_from_dict(config_dict), validate=True)
 
@@ -229,7 +229,7 @@ class ParallelRunner:
 
         pending: list[int] = []
         for i, point in enumerate(points):
-            cached = self.cache.get(point.config) if self.cache else None
+            cached = self.cache.get(point.config) if self.cache is not None else None
             if cached is not None:
                 self._finish(i, points, results, cached, 0.0, stats, on_point,
                              cache_hit=True)

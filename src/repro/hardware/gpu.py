@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..sim import Engine, Event, IntervalTracker, Resource, SimulationError, Store, trace
+from ..sim import Engine, Event, IntervalTracker, Resource, SimulationError, Store
 from .specs import GpuSpec, HostLinkSpec
 
 __all__ = [
@@ -198,9 +198,10 @@ class CudaStream:
         """Submit an operation; returns the op (``op.done`` = completion)."""
         op = GpuOp(self.device.engine, work, name=name, wait_events=wait_events,
                    reads=reads, writes=writes)
-        san = self.device.engine.sanitizer
-        if san is not None:
-            san.on_op_enqueued(self, op)
+        h = self.device.engine.hooks
+        if h is not None:
+            for fn in h.op_enqueue:
+                fn(self, op)
         self._queue.put_nowait(op)
         self.ops_issued += 1
         return op
@@ -230,8 +231,10 @@ class CudaStream:
             cls = item.__class__
             if cls is not GpuOp:
                 if isinstance(item, CudaEvent):
-                    if eng.sanitizer is not None:
-                        eng.sanitizer.on_event_record(self, item)
+                    h = eng.hooks
+                    if h is not None:
+                        for fn in h.event_record:
+                            fn(self, item)
                     item.fired.succeed()
                     continue
                 if isinstance(item, _WaitMarker):
@@ -243,8 +246,10 @@ class CudaStream:
                 deps = pending_waits + op.wait_events
                 pending_waits = []
                 yield eng.all_of(deps)
-            if eng.sanitizer is not None:
-                eng.sanitizer.on_op_dispatch(self, op, deps)
+            h = eng.hooks
+            if h is not None:
+                for fn in h.op_dispatch:
+                    fn(self, op, deps)
             yield from self.device._execute(op, self.priority)
 
 
@@ -338,20 +343,17 @@ class GpuDevice:
         if self._has_scaling:
             duration *= self._duration_scale(kind, op.name)
         token = self.trackers[kind].begin()
-        if self.engine.tracer is not None:
-            trace(
-                self.engine,
-                f"gpu.{kind}",
-                self.name,
-                op=op.name,
-                start=self.engine.now,
-                duration=duration,
-            )
+        h = self.engine.hooks
+        if h is not None:
+            for fn in h.op_start:
+                fn(self, op, kind, duration)
         yield duration
         self.trackers[kind].end(token)
         resource.release(req)
-        if self.engine.sanitizer is not None:
-            self.engine.sanitizer.on_op_done(op)
+        h = self.engine.hooks
+        if h is not None:
+            for fn in h.op_done:
+                fn(op)
         op.done.succeed()
 
     def _duration_scale(self, kind: str, name: str) -> float:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..sim import Engine, Event, IntervalTracker, Resource, trace
+from ..sim import Engine, Event, IntervalTracker, Resource
 from .specs import MachineSpec
 from .topology import FatTree
 
@@ -89,9 +89,6 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.bytes_sent = 0
-        #: Optional observer with ``on_send(message)`` / ``on_deliver(message)``
-        #: — the validation layer's hook for per-channel message conservation.
-        self.monitor = None
 
     # -- helpers ------------------------------------------------------------
     def node_of_pe(self, pe: int) -> int:
@@ -143,16 +140,11 @@ class Network:
         message.sent_at = eng.now
         self.messages_sent += 1
         self.bytes_sent += message.size
-        if eng.metrics is not None:
-            route = "intra" if src_node == dst_node else "inter"
-            eng.metrics.inc("net.messages", route=route)
-            eng.metrics.inc("net.bytes", message.size, route=route)
-        if self.monitor is not None:
-            self.monitor.on_send(message)
+        h = eng.hooks
+        if h is not None:
+            for fn in h.net_send:
+                fn(self, message)
         token = self.inflight.begin()
-        if eng.tracer is not None:
-            trace(eng, "net.send", f"pe{message.src_pe}", dst=message.dst_pe,
-                  size=message.size, tag=message.tag)
         if src_node == dst_node:
             hold = self.intra[src_node].request(priority=message.priority)
             yield hold
@@ -170,10 +162,9 @@ class Network:
             yield self.wire_latency(src_node, dst_node) * self._wire_scale
         message.delivered_at = eng.now
         self.messages_delivered += 1
-        if self.monitor is not None:
-            self.monitor.on_deliver(message)
         self.inflight.end(token)
-        if eng.tracer is not None:
-            trace(eng, "net.deliver", f"pe{message.dst_pe}", src=message.src_pe,
-                  size=message.size, tag=message.tag, latency=eng.now - message.sent_at)
+        h = eng.hooks
+        if h is not None:
+            for fn in h.net_deliver:
+                fn(self, message)
         done.succeed(message)

@@ -26,9 +26,10 @@ Rules:
   as RPL023);
 * **RPL034** the same key declared twice;
 * **RPL035** ``attach()`` of a key never declared in this file;
-* **RPL036** a monitor attached to an engine/runtime *after* its ``run()``
-  already executed in the same scope — pure observers see nothing
-  retroactively.
+* **RPL036** an observer attached to an engine/runtime *after* its
+  ``run()`` already executed in the same scope (``obs.attach(engine)``,
+  ``engine.attach(obs)`` or a ``watch_*`` call) — pure observers see
+  nothing retroactively.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ __all__ = ["StreamDagChecker", "RUN_RECEIVER_NAMES"]
 # simulation; RPL036's heuristic keys off them.
 RUN_RECEIVER_NAMES = frozenset({"engine", "eng", "runtime", "world"})
 
-# Monitor-style attachment methods whose first argument is the engine (or
-# runtime) being observed.
+# Observer attachment methods whose first argument is the engine (or
+# runtime) being observed; ``engine.attach(observer)`` is matched too.
 _MONITOR_ATTACH = frozenset({"attach", "watch_runtime", "watch_cluster",
                              "watch_ucx"})
 
@@ -62,6 +63,11 @@ def _literal_key(node) -> Optional[tuple]:
     if isinstance(node, ast.Constant):
         return (node.value,)
     return None
+
+
+def _is_run_receiver(node) -> bool:
+    """``engine`` / ``runtime`` / ... by RPL036's naming heuristic."""
+    return isinstance(node, ast.Name) and node.id in RUN_RECEIVER_NAMES
 
 
 def _method_call(node: ast.Call) -> Optional[str]:
@@ -181,10 +187,8 @@ class StreamDagChecker:
         run_line = None
         for node in self._scope_nodes(body):
             if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "run"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in RUN_RECEIVER_NAMES):
+                    and _method_call(node) == "run"
+                    and _is_run_receiver(node.func.value)):
                 if run_line is None or node.lineno < run_line:
                     run_line = node.lineno
         if run_line is None:
@@ -193,11 +197,12 @@ class StreamDagChecker:
             if not isinstance(node, ast.Call) or node.lineno <= run_line:
                 continue
             method = _method_call(node)
-            if (method in _MONITOR_ATTACH and node.args
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id in RUN_RECEIVER_NAMES):
+            observer_form = (method in _MONITOR_ATTACH and node.args
+                             and _is_run_receiver(node.args[0]))
+            engine_form = method == "attach" and _is_run_receiver(node.func.value)
+            if observer_form or engine_form:
                 self._emit("RPL036", node,
-                           f"monitor {method}() after the run() at line "
+                           f"observer {method}() after the run() at line "
                            f"{run_line} already executed — pure observers "
                            f"see nothing retroactively")
 

@@ -238,43 +238,48 @@ class MpiWorld:
                 value = cmd.stream.enqueue(cmd.work, name=cmd.name,
                                            wait_events=list(cmd.wait_events),
                                            reads=cmd.reads, writes=cmd.writes)
-                if engine.sanitizer is not None:
-                    engine.sanitizer.on_launch_issue(proc, value)
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.launch_issue:
+                        fn(proc, value)
             elif isinstance(cmd, LaunchGraph):
                 yield from busy(cmd.exec.cpu_launch_cost)
                 value = cmd.exec.launch(priority=cmd.priority, after=list(cmd.after))
-            elif isinstance(cmd, _Isend):
+            elif isinstance(cmd, (_Isend, _Irecv)):
                 yield from busy(costs.call_overhead_s)
-                handle = self.ucx.isend(
-                    proc.rank, cmd.dest, cmd.size, tag=("mpi", cmd.tag),
-                    on_device=cmd.device, priority=PRIORITY_COMM, payload=cmd.payload,
-                )
-                if engine.sanitizer is not None:
-                    engine.sanitizer.on_transfer_posted(handle, proc)
-                value = Request(handle, "send")
-            elif isinstance(cmd, _Irecv):
-                yield from busy(costs.call_overhead_s)
-                handle = self.ucx.irecv(
-                    cmd.source, proc.rank, cmd.size, tag=("mpi", cmd.tag),
-                    on_device=cmd.device,
-                )
-                if engine.sanitizer is not None:
-                    engine.sanitizer.on_transfer_posted(handle, proc)
-                value = Request(handle, "recv")
+                if isinstance(cmd, _Isend):
+                    handle = self.ucx.isend(
+                        proc.rank, cmd.dest, cmd.size, tag=("mpi", cmd.tag),
+                        on_device=cmd.device, priority=PRIORITY_COMM, payload=cmd.payload,
+                    )
+                else:
+                    handle = self.ucx.irecv(
+                        cmd.source, proc.rank, cmd.size, tag=("mpi", cmd.tag),
+                        on_device=cmd.device,
+                    )
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.transfer_post:
+                        fn(handle, proc, None)
+                value = Request(handle, handle.kind)
             elif isinstance(cmd, _WaitAll):
                 yield from busy(costs.completion_s * max(1, len(cmd.requests)))
                 pending = [r.done for r in cmd.requests if not r.done.processed]
                 if pending:
                     yield from blocking_wait(engine.all_of(pending))
-                if engine.sanitizer is not None:
+                h = engine.hooks
+                if h is not None:
                     for r in cmd.requests:
-                        engine.sanitizer.on_wake(proc, r.done)
+                        for fn in h.wake:
+                            fn(proc, r.done)
                 value = [r.data for r in cmd.requests]
             elif isinstance(cmd, Await):
                 if not cmd.event.processed:
                     yield from blocking_wait(cmd.event)
-                if engine.sanitizer is not None:
-                    engine.sanitizer.on_wake(proc, cmd.event)
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.wake:
+                        fn(proc, cmd.event)
                 value = cmd.event.value
             else:
                 raise SimulationError(f"rank {proc.rank} yielded unknown command {cmd!r}")

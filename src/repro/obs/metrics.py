@@ -5,11 +5,11 @@ cheap, always-consistent tally of *what happened* (events scheduled,
 messages by protocol path, bytes by size bucket, launches per PE), as
 opposed to the tracer's *when it happened* timeline.
 
-Attachment mirrors :class:`~repro.sim.tracing.Tracer`: ``registry.attach
-(engine)`` sets ``engine.metrics``, and every instrumentation point in the
-simulator guards with a single ``if engine.metrics is not None`` check — a
-run without a registry pays one attribute test per instrumented site and
-allocates nothing.
+The registry is an engine observer like :class:`~repro.sim.tracing.Tracer`:
+``registry.attach(engine)`` subscribes it to the engine's hook events, and
+its ``on_<event>`` methods below hold the whole counter catalogue (names
+and labels).  A run without a registry pays one ``hooks is None`` test
+per instrumented site and allocates nothing.
 
 Label discipline
 ----------------
@@ -27,6 +27,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from typing import Any, Iterable, Optional
+
+from ..sim.engine import Observer
 
 __all__ = [
     "MAX_SERIES",
@@ -100,9 +102,6 @@ class _Metric:
             return _OVERFLOW_KEY
         return key
 
-    def labels_of(self, key: tuple) -> dict:
-        return dict(key)
-
     def snapshot(self) -> dict:
         out = {
             "kind": self.kind,
@@ -126,8 +125,11 @@ class Counter(_Metric):
     def inc(self, value: float = 1.0, **labels) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name}: negative increment {value}")
-        key = self._cell_key(labels)
-        self.series[key] = self.series.get(key, 0.0) + value
+        series = self.series
+        # An existing unlabelled cell (the engine's per-event counters)
+        # needs no key build or cardinality check.
+        key = () if not labels and () in series else self._cell_key(labels)
+        series[key] = series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
         return self.series.get(_label_key(labels), 0.0)
@@ -196,7 +198,7 @@ class Histogram(_Metric):
         return cell["sum"] if cell else 0.0
 
 
-class MetricsRegistry:
+class MetricsRegistry(Observer):
     """A named collection of metrics, attachable to one :class:`Engine`.
 
     Instrumented components use the auto-creating helpers (:meth:`inc`,
@@ -208,31 +210,47 @@ class MetricsRegistry:
     def __init__(self, max_series: int = MAX_SERIES):
         self._metrics: dict[str, _Metric] = {}
         self.max_series = max_series
-        self._engine = None
 
-    # -- attachment (mirrors Tracer) --------------------------------------
-    def attach(self, engine) -> "MetricsRegistry":
-        """Register as ``engine.metrics``; idempotent on the same engine."""
-        if self._engine is engine:
-            return self
-        if self._engine is not None:
-            self._engine.metrics = None
-        self._engine = engine
-        engine.metrics = self
-        return self
+    # -- hook events: the simulator's counter catalogue --------------------
+    def on_event_scheduled(self, event) -> None:
+        self.inc("sim.events.scheduled")
 
-    def detach(self) -> None:
-        """Unregister from the current engine (no-op when unattached)."""
-        if self._engine is not None:
-            if getattr(self._engine, "metrics", None) is self:
-                self._engine.metrics = None
-            self._engine = None
+    def on_event_executed(self, time, event) -> None:
+        self.inc("sim.events.executed")
 
-    def __enter__(self) -> "MetricsRegistry":
-        return self
+    def on_sched_dequeue(self, scheduler, is_resume: bool) -> None:
+        pe = scheduler.pe.index
+        self.inc("sched.messages", pe=pe, kind="resume" if is_resume else "entry")
+        self.set("sched.queue_depth", len(scheduler.queue.items), pe=pe)
 
-    def __exit__(self, *exc) -> None:
-        self.detach()
+    def on_cpu_busy(self, pe, seconds: float) -> None:
+        self.inc("sched.busy_s", seconds, pe=pe.index)
+
+    def on_sched_launch(self, pe, kind: str) -> None:
+        self.inc("sched.launches", pe=pe.index, kind=kind)
+
+    def on_gm_send(self, pe: int, size: int) -> None:
+        self.inc("gm.sends", pe=pe)
+        self.inc("gm.bytes", size, pe=pe)
+
+    def on_net_send(self, network, message) -> None:
+        same = network.node_of_pe(message.src_pe) == network.node_of_pe(message.dst_pe)
+        route = "intra" if same else "inter"
+        self.inc("net.messages", route=route)
+        self.inc("net.bytes", message.size, route=route)
+
+    def on_ucx_post(self, ucx, handle) -> None:
+        device = "gpu" if handle.on_device else "host"
+        if handle.kind == "recv":
+            self.inc("ucx.recvs_posted", device=device)
+            return
+        proto = handle.protocol.name.lower()
+        self.inc("ucx.messages", protocol=proto, device=device)
+        self.inc("ucx.bytes", handle.size, protocol=proto)
+        self.observe("ucx.msg_bytes", handle.size, protocol=proto)
+
+    def on_ucx_pipeline(self, handle, chunks: int) -> None:
+        self.inc("ucx.pipeline_chunks", chunks, pe=handle.src_pe)
 
     # -- declaration ------------------------------------------------------
     def counter(self, name: str, help: str = "") -> Counter:

@@ -11,8 +11,7 @@ a finished run's cluster (interval trackers) and optional trace, answer
   function takes ``phases`` (display-ordered tuple) and ``classify``
   (``(category, op_name) -> phase``), normally supplied from the app's
   :class:`~repro.apps.registry.AppSpec`; they default to the shared stencil
-  core's declaration, which is also re-exported here as the historical
-  module attributes ``PHASES`` and ``classify_op``;
+  core's declaration;
 * **did overlap happen** — the quantitative computation/communication
   overlap definition shared by the driver, tests, and reports
   (:func:`compute_comm_overlap` is the single implementation; call sites
@@ -28,9 +27,7 @@ from ..hardware.gpu import COMPUTE
 from ..sim import Tracer, merge_intervals, overlap_seconds
 
 __all__ = [
-    "PHASES",
     "ResourceUsage",
-    "classify_op",
     "compute_comm_overlap",
     "gpu_compute_spans",
     "iteration_boundaries",
@@ -42,20 +39,12 @@ __all__ = [
 
 
 def _stencil_phase_decl():
-    """The stencil core's phase declaration — the default vocabulary and
-    the back-compat ``PHASES``/``classify_op`` module attributes.  Imported
-    lazily so :mod:`repro.obs` stays importable without the app stack."""
+    """The stencil core's phase declaration — the default vocabulary.
+    Imported lazily so :mod:`repro.obs` stays importable without the app
+    stack."""
     from ..apps.stencil.phases import STENCIL_PHASES, classify_stencil_op
 
     return STENCIL_PHASES, classify_stencil_op
-
-
-def __getattr__(name: str):
-    if name == "PHASES":
-        return _stencil_phase_decl()[0]
-    if name == "classify_op":
-        return _stencil_phase_decl()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..hardware.network import Message as NetMessage
-from ..sim import trace
 from .costs import MsgPriority
 from .mapping import all_indices, make_mapping
 from .messages import EntryMessage
@@ -85,9 +84,10 @@ class ChareArray:
         cost = costs.send_overhead_s
         if dst_pe != src_pe:
             cost += costs.location_lookup_s + runtime.cluster.spec.node.nic.overhead_s
-        san = runtime.engine.sanitizer
-        if san is not None:
-            san.on_msg_deposit(msg, owner=sender)
+        h = runtime.engine.hooks
+        if h is not None:
+            for fn in h.msg_deposit:
+                fn(msg, sender, None)
         scheduler = runtime.scheduler_of(src_pe)
         scheduler.post_send(cost, lambda: runtime.deliver(msg, src_pe, dst_pe))
 

@@ -92,15 +92,14 @@ class Channel:
         my_pe = chare.pe.index
         scheduler = runtime.scheduler_of(my_pe)
         poll = runtime.costs.hapi_poll_s
-        san = runtime.engine.sanitizer
-        # Causality snapshot at the *call* site: the thunk only runs after
-        # the NIC-overhead charge, by which point the chare may have moved on.
-        snap = san.snapshot(chare) if san is not None else None
+        engine = runtime.engine
 
         def thunk():
             handle: TransferHandle = op(runtime.ucx, my_pe, self.peer_pe)
-            if san is not None:
-                san.on_transfer_posted(handle, chare, snapshot=snap)
+            h = engine.hooks
+            if h is not None:
+                for fn in h.transfer_post:
+                    fn(handle, chare, op)
 
             def on_done(ev):
                 # Deposit (note, data): data is the sender's payload for
@@ -114,13 +113,21 @@ class Channel:
                     payload=data,
                     priority=MsgPriority.GPU_COMPLETION,
                 )
-                if san is not None:
-                    san.on_msg_deposit(msg, event=handle.done)
-                runtime.engine.pause(poll).add_callback(
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.msg_deposit:
+                        fn(msg, None, handle.done)
+                engine.pause(poll).add_callback(
                     lambda _t: scheduler.enqueue(msg)
                 )
 
             handle.done.add_callback(on_done)
 
+        # Causality is fixed at the *call* site: the thunk only runs after
+        # the NIC-overhead charge, by which point the chare may have moved on.
+        h = engine.hooks
+        if h is not None:
+            for fn in h.launch_issue:
+                fn(chare, op)
         cost = runtime.cluster.spec.node.nic.overhead_s
         scheduler.post_send(cost, thunk)

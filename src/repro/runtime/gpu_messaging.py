@@ -40,19 +40,22 @@ def gpu_message_send(chare, index, method: str, size: int, ref: Any = None) -> N
     dst_pe = array.mapping[index]
     tag = ("gm", array.array_id, next(_gm_seq))
     scheduler = runtime.scheduler_of(src_pe)
-    if runtime.engine.metrics is not None:
-        runtime.engine.metrics.inc("gm.sends", pe=src_pe)
-        runtime.engine.metrics.inc("gm.bytes", size, pe=src_pe)
-
-    san = runtime.engine.sanitizer
-    snap = san.snapshot(chare) if san is not None else None
+    engine = runtime.engine
 
     def thunk():
         handle = runtime.ucx.isend(src_pe, dst_pe, size, tag=tag, on_device=True,
                                    priority=PRIORITY_COMM)
-        if san is not None:
-            san.on_transfer_posted(handle, chare, snapshot=snap)
+        h = engine.hooks
+        if h is not None:
+            for fn in h.transfer_post:
+                fn(handle, chare, tag)
 
+    h = engine.hooks
+    if h is not None:
+        for fn in h.gm_send:
+            fn(src_pe, size)
+        for fn in h.launch_issue:
+            fn(chare, tag)
     cost = runtime.costs.send_overhead_s + runtime.cluster.spec.node.nic.overhead_s
     scheduler.post_send(cost, thunk)
     # The post entry method travels as a regular (small) entry message and
@@ -72,15 +75,15 @@ def _gm_post(self, msg: EntryMessage) -> None:
     runtime = self.runtime
     scheduler = runtime.scheduler_of(self.pe.index)
     poll = runtime.costs.hapi_poll_s
-
-    san = runtime.engine.sanitizer
-    snap = san.snapshot(self) if san is not None else None
+    engine = runtime.engine
 
     def thunk():
         handle = runtime.ucx.irecv(info["src_pe"], self.pe.index, info["size"],
                                    tag=info["tag"], on_device=True)
-        if san is not None:
-            san.on_transfer_posted(handle, self, snapshot=snap)
+        h = engine.hooks
+        if h is not None:
+            for fn in h.transfer_post:
+                fn(handle, self, msg)
 
         def on_done(_ev):
             deposit = EntryMessage(
@@ -88,14 +91,20 @@ def _gm_post(self, msg: EntryMessage) -> None:
                 method=info["method"], ref=msg.ref,
                 priority=MsgPriority.GPU_COMPLETION,
             )
-            if san is not None:
-                san.on_msg_deposit(deposit, event=handle.done)
-            runtime.engine.pause(poll).add_callback(
+            h = engine.hooks
+            if h is not None:
+                for fn in h.msg_deposit:
+                    fn(deposit, None, handle.done)
+            engine.pause(poll).add_callback(
                 lambda _t: scheduler.enqueue(deposit)
             )
 
         handle.done.add_callback(on_done)
 
+    h = engine.hooks
+    if h is not None:
+        for fn in h.launch_issue:
+            fn(self, msg)
     scheduler.post_send(runtime.cluster.spec.node.nic.overhead_s, thunk)
 
 

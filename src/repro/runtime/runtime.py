@@ -144,8 +144,9 @@ class CharmRuntime:
                         )
                         stuck.append(f"  {frame.name or chare!r} waiting on {what}")
             detail = "\n".join(stuck[:20])
-            if self.engine.sanitizer is not None:
-                extra = self.engine.sanitizer.explain_deadlock()
+            for observer in self.engine.observers:
+                explain = getattr(observer, "explain_deadlock", None)
+                extra = explain() if explain is not None else ""
                 if extra:
                     detail = f"{detail}\n{extra}"
             raise SimulationError(

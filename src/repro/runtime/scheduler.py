@@ -89,19 +89,19 @@ class Scheduler:
             item = yield queue.get()
             self.messages_processed += 1
             is_resume = item.__class__ is Resume or isinstance(item, Resume)
-            metrics = engine.metrics
-            if metrics is not None:
-                metrics.inc("sched.messages", pe=self.pe.index,
-                            kind="resume" if is_resume else "entry")
-                metrics.set("sched.queue_depth", len(queue.items), pe=self.pe.index)
+            h = engine.hooks
+            if h is not None:
+                for fn in h.sched_dequeue:
+                    fn(self, is_resume)
             if is_resume:
                 if item.frame.finished:
                     continue
                 # One combined charge: queue pop + continuation resume.
                 seconds = costs.scheduling_overhead_s + costs.resume_overhead_s
                 if seconds > 0:
-                    if metrics is not None:
-                        metrics.inc("sched.busy_s", seconds, pe=self.pe.index)
+                    if h is not None:
+                        for fn in h.cpu_busy:
+                            fn(self.pe, seconds)
                     token = self.pe.busy.begin()
                     yield seconds
                     self.pe.busy.end(token)
@@ -138,32 +138,32 @@ class Scheduler:
         # One combined charge: queue pop + envelope + entry dispatch.
         seconds = costs.scheduling_overhead_s + costs.entry_dispatch_s
         if seconds > 0:
-            if engine.metrics is not None:
-                engine.metrics.inc("sched.busy_s", seconds, pe=self.pe.index)
+            h = engine.hooks
+            if h is not None:
+                for fn in h.cpu_busy:
+                    fn(self.pe, seconds)
             token = self.pe.busy.begin()
             yield seconds
             self.pe.busy.end(token)
-        san = engine.sanitizer
         if method is None:
             # Mailbox deposit: resume a matching `when`, else buffer.
             frame = chare._take_waiting_frame(msg.method, msg.ref)
-            if frame is not None:
-                if san is not None:
-                    san.on_msg_consume(chare, msg)
-                yield from self._drive(frame, msg)
-            else:
+            if frame is None:
                 chare._mailbox_push(msg)
+                return
+        h = engine.hooks
+        if h is not None:
+            for fn in h.msg_consume:
+                fn(chare, msg)
+        if method is None:
+            yield from self._drive(frame, msg)
         elif is_gen:
-            if san is not None:
-                san.on_msg_consume(chare, msg)
             coroutine = method(chare, msg)
             frame = Frame(chare, coroutine, method=msg.method)
             chare._frames.append(frame)
             self.runtime._frame_started(frame)
             yield from self._drive(frame, None)
         else:
-            if san is not None:
-                san.on_msg_consume(chare, msg)
             method(chare, msg)
             if self._pending_charge > 0 or self._outbox:
                 yield from self._flush()
@@ -199,8 +199,10 @@ class Scheduler:
             if kind == _WHEN:
                 msg = chare._mailbox_pop(cmd.method, cmd.ref)
                 if msg is not None:
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_msg_consume(chare, msg)
+                    h = engine.hooks
+                    if h is not None:
+                        for fn in h.msg_consume:
+                            fn(chare, msg)
                     value = msg
                     continue
                 if self._pending_charge > 0 or self._outbox:
@@ -218,31 +220,38 @@ class Scheduler:
             else:  # _AWAIT
                 event = cmd.event
                 if event.processed:
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_wake(chare, event)
+                    h = engine.hooks
+                    if h is not None:
+                        for fn in h.wake:
+                            fn(chare, event)
                     value = event.value
                     continue
                 self._register_wakeup(frame, event, cmd.priority)
                 return
-            metrics = engine.metrics
             if seconds > 0:
-                if metrics is not None:
-                    metrics.inc("sched.busy_s", seconds, pe=pe.index)
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.cpu_busy:
+                        fn(pe, seconds)
                 token = pe.busy.begin()
                 yield seconds
                 pe.busy.end(token)
             if kind == _LAUNCH:
-                if metrics is not None:
-                    metrics.inc("sched.launches", pe=pe.index, kind="kernel")
                 value = cmd.stream.enqueue(
                     cmd.work, name=cmd.name, wait_events=list(cmd.wait_events),
                     reads=cmd.reads, writes=cmd.writes,
                 )
-                if engine.sanitizer is not None:
-                    engine.sanitizer.on_launch_issue(chare, value)
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.sched_launch:
+                        fn(pe, "kernel")
+                    for fn in h.launch_issue:
+                        fn(chare, value)
             elif kind == _GRAPH:
-                if metrics is not None:
-                    metrics.inc("sched.launches", pe=pe.index, kind="graph")
+                h = engine.hooks
+                if h is not None:
+                    for fn in h.sched_launch:
+                        fn(pe, "graph")
                 value = cmd.exec.launch(priority=cmd.priority, after=list(cmd.after))
 
     def _register_wakeup(self, frame: Frame, event, priority: float) -> None:
@@ -251,9 +260,10 @@ class Scheduler:
         poll = self.costs.hapi_poll_s
 
         def on_fire(ev):
-            san = self.engine.sanitizer
-            if san is not None:
-                san.on_wake(frame.chare, ev)
+            h = self.engine.hooks
+            if h is not None:
+                for fn in h.wake:
+                    fn(frame.chare, ev)
             self.engine.pause(poll).add_callback(
                 lambda _t: self.enqueue(Resume(frame, ev.value, priority))
             )
@@ -263,8 +273,10 @@ class Scheduler:
     # -- cost accounting -----------------------------------------------------------
     def _busy(self, seconds: float):
         if seconds > 0:
-            if self.engine.metrics is not None:
-                self.engine.metrics.inc("sched.busy_s", seconds, pe=self.pe.index)
+            h = self.engine.hooks
+            if h is not None:
+                for fn in h.cpu_busy:
+                    fn(self.pe, seconds)
             token = self.pe.busy.begin()
             yield seconds
             self.pe.busy.end(token)

@@ -93,9 +93,10 @@ class TaskSpace:
             raise RuntimeError(f"{self.name}: task {rec.key} issued twice")
         rec.issued_at = engine.now
         self._events[rec.key] = done_event
-        sanitizer = getattr(engine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.on_task_attach(self, rec.key, done_event)
+        h = engine.hooks
+        if h is not None:
+            for fn in h.task_attach:
+                fn(self, rec.key, done_event)
 
         def _record_finish(_ev, rec=rec, engine=engine):
             if rec.finished_at is not None:

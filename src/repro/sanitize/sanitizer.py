@@ -2,11 +2,12 @@
 
 The :class:`Sanitizer` is a *pure observer* in the same mold as
 :class:`~repro.validate.invariants.InvariantChecker`: it attaches to an
-:class:`~repro.sim.Engine` and keeps its own books via small hooks at the
-points where ordering is established — stream dispatch, launch issue,
-frame wakeups, mailbox consumption, UCX transfer posting and TaskSpace
-attachment.  The event schedule (and therefore every simulated result and
-trace digest) is unchanged whether or not a sanitizer is attached.
+:class:`~repro.sim.Engine` and keeps its own books from the hook events
+at the points where ordering is established — stream dispatch, launch
+issue, frame wakeups, mailbox consumption, UCX transfer posting and
+TaskSpace attachment.  The event schedule (and therefore every simulated
+result and trace digest) is unchanged whether or not a sanitizer is
+attached.
 
 Model
 -----
@@ -41,9 +42,8 @@ See docs/sanitizer.md for the full model and how apps declare accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..sim import Engine, SimulationError
+from ..sim import Observer, SimulationError
 
 __all__ = ["Diagnostic", "SanitizerError", "Sanitizer"]
 
@@ -85,7 +85,7 @@ class _BufferState:
         self.reads = {}         # lane -> (tick, op name, task key or None)
 
 
-class Sanitizer:
+class Sanitizer(Observer):
     """Attachable happens-before auditor for one simulation run.
 
     Typical wiring (what ``run_app(..., sanitize=True)`` does)::
@@ -96,8 +96,9 @@ class Sanitizer:
         san.finish()                        # raises SanitizerError on findings
     """
 
+    exclusive = True
+
     def __init__(self, max_findings: int = 200):
-        self.engine: Optional[Engine] = None
         self.findings: list[Diagnostic] = []
         self.max_findings = max_findings
         # Lanes: id(object) -> small int; strong refs keep ids stable.
@@ -134,15 +135,6 @@ class Sanitizer:
         self.accesses_checked = 0
 
     # -- wiring -------------------------------------------------------------
-    def attach(self, engine: Engine) -> "Sanitizer":
-        """Observe ``engine``; the engine gains a ``sanitizer`` attribute
-        that the instrumented call sites consult."""
-        if engine.sanitizer is not None:
-            raise SimulationError("engine already has a sanitizer attached")
-        self.engine = engine
-        engine.sanitizer = self
-        return self
-
     def watch_runtime(self, runtime) -> None:
         """Remember the Charm runtime for the finish-time mailbox scan."""
         self._runtime = runtime
@@ -199,12 +191,8 @@ class Sanitizer:
         self._event_clock[id(event)] = clock
         self._keep[id(event)] = event
 
-    def snapshot(self, owner) -> dict:
-        """Copy of ``owner``'s current lane clock."""
-        return dict(self._clock[self._lane(owner)])
-
     # -- hooks: GPU streams -------------------------------------------------
-    def on_op_enqueued(self, stream, op) -> None:
+    def on_op_enqueue(self, stream, op) -> None:
         oid = id(op)
         self._ops[oid] = op
         self._op_stream[oid] = stream.name
@@ -245,23 +233,24 @@ class Sanitizer:
 
     # -- hooks: runtime lanes (chares / ranks) ------------------------------
     def on_launch_issue(self, owner, op) -> None:
+        """``owner`` issued ``op`` (a kernel launch, or a deferred transfer
+        posted later): it carries ``owner``'s clock as of now."""
         self._issue_clock[id(op)] = dict(self._clock[self._lane(owner)])
 
     def on_wake(self, owner, event) -> None:
         lane = self._lane(owner)
         _merge(self._clock[lane], self.clock_of(event))
 
-    def on_msg_deposit(self, msg, owner=None, event=None, clock=None) -> None:
+    def on_msg_deposit(self, msg, owner, event) -> None:
         """Record the causal clock a mailbox deposit carries: the sender's
-        lane clock (entry-method sends), a completion event's clock
-        (channel / GPU-messaging deposits), or an explicit snapshot."""
-        if clock is None:
-            if event is not None:
-                clock = self.clock_of(event)
-            elif owner is not None:
-                clock = dict(self._clock[self._lane(owner)])
-            else:
-                clock = {}
+        lane clock (entry-method sends) or a completion event's clock
+        (channel / GPU-messaging deposits)."""
+        if event is not None:
+            clock = self.clock_of(event)
+        elif owner is not None:
+            clock = dict(self._clock[self._lane(owner)])
+        else:
+            clock = {}
         self._event_clock[id(msg)] = clock
         self._keep[id(msg)] = msg
 
@@ -271,9 +260,13 @@ class Sanitizer:
         if clock:
             _merge(self._clock[lane], clock)
 
-    def on_transfer_posted(self, handle, owner, snapshot=None) -> None:
-        post_clock = dict(self._clock[self._lane(owner)]) if snapshot is None \
-            else dict(snapshot)
+    def on_transfer_post(self, handle, owner, issued) -> None:
+        """``owner`` posted ``handle``; a transfer announced earlier by
+        ``on_launch_issue(owner, issued)`` carries the clock of that
+        moment, since the owner may have moved on before the post."""
+        post_clock = self._issue_clock.pop(id(issued), None) if issued is not None else None
+        if post_clock is None:
+            post_clock = dict(self._clock[self._lane(owner)])
         self._transfers[id(handle)] = handle
         self._post_clock[id(handle)] = post_clock
 
@@ -404,20 +397,23 @@ class Sanitizer:
             edges.append(prev)
         return edges
 
-    def _scan_pending_ops(self) -> None:
+    def _pending_cycles(self) -> tuple:
+        """Pending op ids and the wait-for cycles among them, each cycle
+        with its ``"wait-for cycle: a -> b -> a"`` description."""
         pending = self._pending_ops()
-        if not pending:
-            return
         graph = {oid: self._wait_edges(oid) for oid in pending}
-        cycles = self._find_cycles(graph)
-        for cycle in cycles:
+        cycles = []
+        for cycle in self._find_cycles(graph):
             names = [self._ops[oid].name or f"op@{self._op_stream[oid]}"
                      for oid in cycle]
-            self._record(
-                "deadlock-cycle", self._op_stream[cycle[0]],
-                "wait-for cycle: " + " -> ".join(names + [names[0]]),
-            )
-        in_cycle = {oid for cycle in cycles for oid in cycle}
+            cycles.append((cycle, "wait-for cycle: " + " -> ".join(names + [names[0]])))
+        return pending, cycles
+
+    def _scan_pending_ops(self) -> None:
+        pending, cycles = self._pending_cycles()
+        for cycle, text in cycles:
+            self._record("deadlock-cycle", self._op_stream[cycle[0]], text)
+        in_cycle = {oid for cycle, _text in cycles for oid in cycle}
         for oid in pending:
             if oid in in_cycle:
                 continue
@@ -489,16 +485,10 @@ class Sanitizer:
     # -- deadlock explanation (for runtime quiescence failures) -------------
     def explain_deadlock(self) -> str:
         """Cycle/pending summary appended to runtime deadlock errors."""
-        pending = self._pending_ops()
+        pending, cycles = self._pending_cycles()
         if not pending:
             return ""
-        graph = {oid: self._wait_edges(oid) for oid in pending}
-        cycles = self._find_cycles(graph)
-        lines = []
-        for cycle in cycles:
-            names = [self._ops[oid].name or f"op@{self._op_stream[oid]}"
-                     for oid in cycle]
-            lines.append("wait-for cycle: " + " -> ".join(names + [names[0]]))
+        lines = [text for _cycle, text in cycles]
         if not lines:
             names = [self._ops[oid].name or self._op_stream[oid]
                      for oid in pending[:5]]

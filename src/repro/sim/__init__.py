@@ -6,11 +6,13 @@ Public surface:
   :class:`AllOf`, :class:`AnyOf` — the event loop and process model.
 * :class:`Store`, :class:`FilterStore`, :class:`PriorityStore`,
   :class:`Resource`, :class:`TokenPool` — queueing primitives.
-* :class:`Tracer`, :class:`IntervalTracker` — instrumentation.
+* :meth:`Engine.attach` with :class:`Observer` subscribers over the
+  :data:`HOOK_EVENTS` vocabulary; :class:`Tracer`,
+  :class:`IntervalTracker` — instrumentation.
 * :class:`RandomStreams` — reproducible named RNG streams.
 """
 
-from .engine import AllOf, AnyOf, Engine, Event, Process, Timeout
+from .engine import HOOK_EVENTS, AllOf, AnyOf, Engine, Event, Hooks, Observer, Process, Timeout
 from .errors import (
     EventAlreadyTriggered,
     Interrupt,
@@ -27,6 +29,9 @@ __all__ = [
     "AnyOf",
     "Engine",
     "Event",
+    "HOOK_EVENTS",
+    "Hooks",
+    "Observer",
     "Process",
     "Timeout",
     "EventAlreadyTriggered",

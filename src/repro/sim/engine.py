@@ -35,6 +35,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError, StopEngine
 
 __all__ = [
+    "HOOK_EVENTS",
+    "Hooks",
+    "Observer",
     "Engine",
     "Event",
     "Timeout",
@@ -56,6 +59,72 @@ PROCESSED = 2  # callbacks have run
 # stays intuitive.
 URGENT = 0
 NORMAL = 1
+
+#: The observer vocabulary.  Each name is a moment the simulator reports;
+#: an observer subscribes by defining ``on_<name>`` with the arguments
+#: listed here.  Instrumented sites pass plain simulator objects — metric
+#: names, labels and trace formats live in the observers.
+HOOK_EVENTS = (
+    "event_scheduled",  # (event) pushed onto the heap
+    "event_executed",   # (time, event) popped, before its callbacks run
+    "op_enqueue",       # (stream, op) GPU op submitted to a stream
+    "op_dispatch",      # (stream, op, deps) stream hands op to the device
+    "op_start",         # (device, op, kind, duration) op holds its engine
+    "op_done",          # (op) op finished on the device
+    "event_record",     # (stream, cuda_event) stream reached a CUDA event
+    "launch_issue",     # (owner, op) owner issued op (a launch or later post)
+    "wake",             # (owner, event) owner resumed on event
+    "msg_deposit",      # (msg, owner, event) sent by owner / completed by event
+    "msg_consume",      # (owner, msg) owner consumed msg
+    "transfer_post",    # (handle, owner, issued) see launch_issue(owner, issued)
+    "net_send",         # (network, message) message entered the wire
+    "net_deliver",      # (network, message) message reached its node
+    "ucx_post",         # (ucx, handle) UCX isend/irecv posted
+    "ucx_pipeline",     # (handle, chunks) send staged in chunks
+    "grant",            # (resource, amount) resource units granted
+    "release",          # (resource, amount) resource units released
+    "task_attach",      # (space, key, done_event) TaskSpace task issued
+    "sched_dequeue",    # (scheduler, is_resume) PE scheduler popped an item
+    "sched_launch",     # (pe, kind) scheduler launched a kernel or graph
+    "cpu_busy",         # (pe, seconds) PE charged CPU time
+    "gm_send",          # (pe, size) GPU Messaging API send
+    "trace",            # (category, actor, data) free-form trace record
+)
+
+
+class Hooks:
+    """An engine's observer table: attribute ``<name>`` holds the tuple of
+    attached observers' bound ``on_<name>`` methods, in attach order.  A
+    site reports with ``h = engine.hooks; if h is not None: for fn in
+    h.<name>: fn(...)``."""
+
+    __slots__ = HOOK_EVENTS
+
+
+class Observer:
+    """The shared attach/detach contract: ``obs.attach(engine)`` is
+    ``engine.attach(obs)`` returning ``obs``; :meth:`detach` and the context
+    manager undo it.  Subclasses implement any ``on_<name>`` hooks."""
+
+    #: The engine this observer is attached to (maintained by the engine).
+    engine: Optional["Engine"] = None
+    #: If true, an engine admits at most one instance of the class.
+    exclusive = False
+
+    def attach(self, engine: "Engine"):
+        engine.attach(self)
+        return self
+
+    def detach(self) -> None:
+        """Unsubscribe from the current engine (no-op when unattached)."""
+        if self.engine is not None:
+            self.engine.detach(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.detach()
 
 
 class Event:
@@ -117,8 +186,10 @@ class Event:
         engine = self.engine
         _heappush(engine._heap, (engine.now, priority, engine._seq, self))
         engine._seq += 1
-        if engine.metrics is not None:
-            engine.metrics.inc("sim.events.scheduled")
+        h = engine.hooks
+        if h is not None:
+            for fn in h.event_scheduled:
+                fn(self)
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -175,8 +246,10 @@ class Timeout(Event):
         self.delay = delay
         _heappush(engine._heap, (engine.now + delay, NORMAL, engine._seq, self))
         engine._seq += 1
-        if engine.metrics is not None:
-            engine.metrics.inc("sim.events.scheduled")
+        h = engine.hooks
+        if h is not None:
+            for fn in h.event_scheduled:
+                fn(self)
 
 
 class _PooledEvent(Event):
@@ -380,8 +453,10 @@ class Process(Event):
             ev._waiter = self._resume_cb
             _heappush(engine._heap, (engine.now + target, NORMAL, engine._seq, ev))
             engine._seq += 1
-            if engine.metrics is not None:
-                engine.metrics.inc("sim.events.scheduled")
+            h = engine.hooks
+            if h is not None:
+                for fn in h.event_scheduled:
+                    fn(ev)
             self._waiting_on = ev
             return
         if cls is not _PooledEvent and cls is not Event and not isinstance(target, Event):
@@ -417,10 +492,10 @@ class Engine:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.tracer = None  # set by sim.tracing.Tracer.attach()
-        self.metrics = None  # set by obs.metrics.MetricsRegistry.attach()
-        self.sanitizer = None  # set by sanitize.Sanitizer.attach()
-        self._monitors: list[Callable[[float, Event], None]] = []
+        #: The observer table (see :meth:`attach`); ``None`` while nothing
+        #: is attached, so every instrumented site costs one test.
+        self.hooks: Optional[Hooks] = None
+        self._observers: list = []
         #: Events processed over the engine's lifetime (plain int: the
         #: events/sec numerator for ``benchmarks/bench_engine.py``).
         self.events_executed = 0
@@ -428,19 +503,57 @@ class Engine:
         #: :meth:`pause`); the run loop returns fired pooled events here.
         self._event_pool: list[_PooledEvent] = []
 
-    # -- monitoring --------------------------------------------------------
-    def add_monitor(self, fn: Callable[[float, "Event"], None]) -> None:
-        """Register ``fn(time, event)`` to observe every processed event.
+    # -- observers ---------------------------------------------------------
+    @property
+    def observers(self) -> tuple:
+        """The attached observers, in attach order."""
+        return tuple(self._observers)
 
-        Monitors fire after an event is popped from the heap and before its
-        callbacks run — the hook the validation layer's invariant checker
-        uses to audit time monotonicity without touching the hot path
-        (a single list check when no monitor is attached).
+    def attach(self, observer):
+        """Subscribe ``observer`` to the hook events it implements (an
+        ``on_<name>`` method for any ``<name>`` in :data:`HOOK_EVENTS`);
+        returns it.
+
+        Idempotent per engine.  An :class:`Observer` is first detached from
+        any other engine and records this one as its ``engine``; an
+        ``exclusive`` observer class admits one instance per engine.  The
+        bound methods are looked up now (a method patched later is not
+        seen).  Attach before :meth:`run`: the bare loop it picks when
+        nothing is attached never reports ``event_executed``.
         """
-        self._monitors.append(fn)
+        if any(o is observer for o in self._observers):
+            return observer
+        if getattr(observer, "exclusive", False) and any(
+                type(o) is type(observer) for o in self._observers):
+            raise SimulationError(
+                f"engine already has a {type(observer).__name__} attached")
+        if isinstance(observer, Observer):
+            if observer.engine is not None:
+                observer.engine.detach(observer)
+            observer.engine = self
+        self._observers.append(observer)
+        self._rebuild_hooks()
+        return observer
 
-    def remove_monitor(self, fn: Callable[[float, "Event"], None]) -> None:
-        self._monitors.remove(fn)
+    def detach(self, observer) -> None:
+        """Unsubscribe ``observer`` (no-op if it is not attached here)."""
+        for i, o in enumerate(self._observers):
+            if o is observer:
+                del self._observers[i]
+                if isinstance(observer, Observer):
+                    observer.engine = None
+                self._rebuild_hooks()
+                return
+
+    def _rebuild_hooks(self) -> None:
+        if not self._observers:
+            self.hooks = None
+            return
+        hooks = Hooks()
+        for name in HOOK_EVENTS:
+            fns = (getattr(o, "on_" + name, None) for o in self._observers)
+            setattr(hooks, name, tuple(fn for fn in fns if fn is not None))
+        self.hooks = hooks
 
     # -- event construction ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -476,8 +589,10 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         _heappush(self._heap, (self.now + delay, NORMAL, self._seq, event))
         self._seq += 1
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.scheduled")
+        h = self.hooks
+        if h is not None:
+            for fn in h.event_scheduled:
+                fn(event)
         return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -503,8 +618,10 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
         self._seq += 1
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.scheduled")
+        h = self.hooks
+        if h is not None:
+            for fn in h.event_scheduled:
+                fn(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -517,21 +634,16 @@ class Engine:
             raise SimulationError("event heap corrupted: time went backwards")
         self.now = time
         self.events_executed += 1
-        if self._monitors:
-            for monitor in self._monitors:
-                monitor(time, event)
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.executed")
+        h = self.hooks
+        if h is not None:
+            for fn in h.event_executed:
+                fn(time, event)
         event._process()
         if event._poolable:
-            self._recycle(event)
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired pooled event to the free-list (state reset so
-        :meth:`pause` can hand it out again)."""
-        event._value = None
-        event._ok = True
-        self._event_pool.append(event)
+            # Back to the free-list, reset so pause() can hand it out again.
+            event._value = None
+            event._ok = True
+            self._event_pool.append(event)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
@@ -556,24 +668,19 @@ class Engine:
 
         Notes
         -----
-        This is the simulator's innermost loop: locals are hoisted, the
-        event-processing protocol (``Event._process`` plus the crash
-        check) is inlined, and the bound-free dispatch path (no ``until``,
-        no ``max_events``) skips the per-event bound checks entirely.
-        When no monitor and no metrics registry is attached at entry, a
-        bare variant with zero observer checks runs instead — attach
-        observers before calling ``run``; observers attached mid-run (from
-        a callback) are only guaranteed to be seen if at least one was
-        already attached at entry.
+        This is the simulator's innermost loop, in two variants.  With no
+        bound and no observer attached at entry, a bare kernel runs: locals
+        are hoisted, the event-processing protocol (``Event._process`` plus
+        the crash check) is inlined, and the loop body carries no bound or
+        observer check at all.  Otherwise one general loop checks the
+        bounds and reports ``event_executed`` to :attr:`hooks` per event.
         """
         heap = self._heap
         pop = heapq.heappop
         pool = self._event_pool
-        monitors = self._monitors
-        metrics = self.metrics
         count = 0
         try:
-            if until is None and max_events is None and not monitors and metrics is None:
+            if until is None and max_events is None and self.hooks is None:
                 # Bare fast-dispatch kernel: no bounds, no observers.  The
                 # pop count falls out of arithmetic (pops = starting heap
                 # size + pushes − leftovers), so the loop body carries no
@@ -615,39 +722,6 @@ class Engine:
                                 self._raise_crash(event)
                 finally:
                     count = start_len + (self._seq - seq0) - len(heap)
-            elif until is None and max_events is None:
-                # Fast-dispatch kernel with observers attached.
-                while heap:
-                    time, _prio, _seq, event = pop(heap)
-                    count += 1
-                    self.now = time
-                    if monitors:
-                        for monitor in monitors:
-                            monitor(time, event)
-                    if metrics is not None:
-                        metrics.inc("sim.events.executed")
-                    event._state = PROCESSED
-                    if event._poolable:
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter(event)
-                        callbacks = event.callbacks
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                            del callbacks[:]
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = []
-                            for fn in callbacks:
-                                fn(event)
-                        elif event._crashable and not event._ok:
-                            self._raise_crash(event)
             else:
                 while heap:
                     if until is not None and heap[0][0] > until:
@@ -658,11 +732,10 @@ class Engine:
                     time, _prio, _seq, event = pop(heap)
                     count += 1
                     self.now = time
-                    if monitors:
-                        for monitor in monitors:
-                            monitor(time, event)
-                    if metrics is not None:
-                        metrics.inc("sim.events.executed")
+                    h = self.hooks
+                    if h is not None:
+                        for fn in h.event_executed:
+                            fn(time, event)
                     event._state = PROCESSED
                     if event._poolable:
                         # Pooled events have no outside watchers by contract,
@@ -704,27 +777,13 @@ class Engine:
         semantics as :meth:`run`).
         """
         done = self.all_of(events)
-        heap = self._heap
-        pop = heapq.heappop
         count = 0
-        try:
-            while not done.triggered and heap:
-                if max_events is not None and count >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} in run_until_complete")
-                time, _prio, _seq, event = pop(heap)
-                count += 1
-                self.now = time
-                if self._monitors:
-                    for monitor in self._monitors:
-                        monitor(time, event)
-                if self.metrics is not None:
-                    self.metrics.inc("sim.events.executed")
-                event._process()
-                if event._poolable:
-                    self._recycle(event)
-        finally:
-            self.events_executed += count
+        while not done.triggered and self._heap:
+            if max_events is not None and count >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} in run_until_complete")
+            self.step()
+            count += 1
         if not done.triggered:
             raise SimulationError("event heap drained before awaited events triggered (deadlock?)")
         if not done.ok:

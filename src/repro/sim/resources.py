@@ -235,11 +235,6 @@ class Resource:
         self._waiters: list[tuple[float, int, Request]] = []
         self._counter = 0
         self.users: list[Request] = []
-        #: Optional observer with ``on_grant(resource, amount)`` /
-        #: ``on_release(resource, amount)`` — used by the validation layer to
-        #: independently audit capacity conservation.  ``None`` costs one
-        #: attribute check per grant.
-        self.monitor = None
 
     @property
     def available(self) -> int:
@@ -263,8 +258,10 @@ class Resource:
             raise SimulationError(f"release of non-held request on {self.name!r}")
         self.users.remove(request)
         self.in_use -= request.amount
-        if self.monitor is not None:
-            self.monitor.on_release(self, request.amount)
+        h = self.engine.hooks
+        if h is not None:
+            for fn in h.release:
+                fn(self, request.amount)
         self._grant()
 
     def _grant(self) -> None:
@@ -275,8 +272,10 @@ class Resource:
             heapq.heappop(self._waiters)
             self.in_use += req.amount
             self.users.append(req)
-            if self.monitor is not None:
-                self.monitor.on_grant(self, req.amount)
+            h = self.engine.hooks
+            if h is not None:
+                for fn in h.grant:
+                    fn(self, req.amount)
             req.succeed(req)
 
     def cancel(self, request: Request) -> None:

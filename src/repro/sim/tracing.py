@@ -5,7 +5,9 @@ tests and analysis use it to *prove* that overlap happens (GPU busy while
 messages are in flight), to measure per-resource utilization, and to debug
 schedules.
 
-Tracing is opt-in and costs nothing when disabled.
+Tracing is opt-in: a :class:`Tracer` is one more engine observer (see
+:meth:`~repro.sim.Engine.attach`), and an engine with none attached pays
+one ``hooks is None`` test per instrumented site.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from .engine import Engine
+from .engine import Engine, Observer
 
 __all__ = ["TraceRecord", "Tracer", "IntervalTracker", "overlap_seconds", "to_chrome_trace"]
 
@@ -41,8 +43,12 @@ class TraceRecord:
     data: dict[str, Any] = field(default_factory=dict)
 
 
-class Tracer:
-    """Collects :class:`TraceRecord` entries from instrumented components.
+class Tracer(Observer):
+    """Collects :class:`TraceRecord` entries from the engine's hook events.
+
+    The tracer owns the trace format: it turns GPU op spans, network
+    sends/deliveries and UCX pipelines into records, and keeps any
+    free-form ``trace`` event (see :func:`trace`) as is.
 
     Parameters
     ----------
@@ -55,43 +61,35 @@ class Tracer:
         self.records: list[TraceRecord] = []
         self._prefixes = tuple(categories) if categories else None
         self.enabled = True
-        self._engine: Optional[Engine] = None
-
-    def attach(self, engine: Engine) -> "Tracer":
-        """Register as ``engine.tracer`` and record against its clock.
-
-        Idempotent: re-attaching to the same engine is a no-op, and
-        attaching to a different engine detaches from the old one first, so
-        repeated runs never leave stale cross-references behind.
-        """
-        if self._engine is engine:
-            return self
-        if self._engine is not None:
-            self.detach()
-        self._engine = engine
-        engine.tracer = self
-        return self
-
-    def detach(self) -> None:
-        """Unregister from the current engine (no-op when unattached)."""
-        if self._engine is not None:
-            if getattr(self._engine, "tracer", None) is self:
-                self._engine.tracer = None
-            self._engine = None
-
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
 
     def emit(self, category: str, actor: str, **data: Any) -> None:
+        self.on_trace(category, actor, data)
+
+    # -- hook events ---------------------------------------------------------
+    def on_trace(self, category: str, actor: str, data: dict) -> None:
         if not self.enabled:
             return
         if self._prefixes is not None and not category.startswith(self._prefixes):
             return
-        assert self._engine is not None, "Tracer.emit before attach()"
-        self.records.append(TraceRecord(self._engine.now, category, actor, data))
+        assert self.engine is not None, "Tracer.emit before attach()"
+        self.records.append(TraceRecord(self.engine.now, category, actor, data))
+
+    def on_op_start(self, device, op, kind: str, duration: float) -> None:
+        self.on_trace(f"gpu.{kind}", device.name,
+                      {"op": op.name, "start": self.engine.now, "duration": duration})
+
+    def on_net_send(self, network, message) -> None:
+        self.on_trace("net.send", f"pe{message.src_pe}",
+                      {"dst": message.dst_pe, "size": message.size, "tag": message.tag})
+
+    def on_net_deliver(self, network, message) -> None:
+        self.on_trace("net.deliver", f"pe{message.dst_pe}",
+                      {"src": message.src_pe, "size": message.size, "tag": message.tag,
+                       "latency": self.engine.now - message.sent_at})
+
+    def on_ucx_pipeline(self, handle, chunks: int) -> None:
+        self.on_trace("ucx.pipeline", f"pe{handle.src_pe}",
+                      {"size": handle.size, "chunks": chunks})
 
     # -- queries -------------------------------------------------------------
     def select(
@@ -117,10 +115,11 @@ class Tracer:
 
 
 def trace(engine: Engine, category: str, actor: str, **data: Any) -> None:
-    """Emit a record if a tracer is attached to ``engine`` (no-op otherwise)."""
-    tracer = engine.tracer
-    if tracer is not None:
-        tracer.emit(category, actor, **data)
+    """Report a free-form ``trace`` hook event (no-op with no observer)."""
+    h = engine.hooks
+    if h is not None:
+        for fn in h.trace:
+            fn(category, actor, data)
 
 
 class IntervalTracker:

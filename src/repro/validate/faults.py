@@ -20,8 +20,10 @@ def inject_double_grant(resource: Resource, amount: int = 1) -> Request:
     req = Request(resource, priority=0.0, amount=amount)
     resource.in_use += amount
     resource.users.append(req)
-    if resource.monitor is not None:
-        resource.monitor.on_grant(resource, amount)
+    h = resource.engine.hooks
+    if h is not None:
+        for fn in h.grant:
+            fn(resource, amount)
     req.succeed(req)
     return req
 
@@ -29,8 +31,10 @@ def inject_double_grant(resource: Resource, amount: int = 1) -> Request:
 def inject_phantom_release(resource: Resource, amount: int = 1) -> None:
     """Report a release that never had a matching grant."""
     resource.in_use -= amount
-    if resource.monitor is not None:
-        resource.monitor.on_release(resource, amount)
+    h = resource.engine.hooks
+    if h is not None:
+        for fn in h.release:
+            fn(resource, amount)
 
 
 def inject_lost_message(network, src_pe: int, dst_pe: int, size: int = 64) -> None:
@@ -41,5 +45,7 @@ def inject_lost_message(network, src_pe: int, dst_pe: int, size: int = 64) -> No
     msg = Message(src_pe, dst_pe, size)
     network.messages_sent += 1
     network.bytes_sent += size
-    if network.monitor is not None:
-        network.monitor.on_send(msg)
+    h = network.engine.hooks
+    if h is not None:
+        for fn in h.net_send:
+            fn(network, msg)

@@ -2,10 +2,9 @@
 
 The :class:`InvariantChecker` is an *independent* observer: it keeps its own
 books (event times, per-resource grant counts, per-channel message counts,
-posted communication handles) via the monitor hooks on
-:class:`~repro.sim.Engine`, :class:`~repro.sim.Resource`,
-:class:`~repro.hardware.network.Network` and
-:class:`~repro.comm.ucx.UcxContext`, and cross-checks them against what the
+posted communication handles) from the engine's hook events (event
+execution, resource grants/releases, network sends/deliveries, UCX posts)
+for the components it watches, and cross-checks them against what the
 components claim.  A bug in the engine's bookkeeping therefore cannot hide
 itself — the double-entry principle.
 
@@ -40,7 +39,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim import Engine, SimulationError
+from ..sim import Observer, SimulationError
 from ..sim.resources import Resource
 
 __all__ = ["Violation", "InvariantError", "InvariantChecker"]
@@ -69,7 +68,7 @@ class InvariantError(SimulationError):
         super().__init__(f"{len(violations)} invariant violation(s):\n{lines}{extra}")
 
 
-class InvariantChecker:
+class InvariantChecker(Observer):
     """Attachable auditor for one simulation run.
 
     Typical wiring (what ``run_jacobi3d(..., validate=True)`` does)::
@@ -83,7 +82,6 @@ class InvariantChecker:
     """
 
     def __init__(self, max_violations: int = 200):
-        self.engine: Optional[Engine] = None
         self.violations: list[Violation] = []
         self.max_violations = max_violations
         self.events_processed = 0
@@ -104,18 +102,11 @@ class InvariantChecker:
         self._finished = False
 
     # -- wiring -------------------------------------------------------------
-    def attach(self, engine: Engine) -> "InvariantChecker":
-        """Audit ``engine``'s event stream (time monotonicity)."""
-        self.engine = engine
-        engine.add_monitor(self._on_event)
-        return self
-
     def watch_resource(self, resource: Resource) -> None:
         """Independently track ``resource``'s grants and releases."""
         key = id(resource)
         self._held.setdefault(key, 0)
         self._resources[key] = resource
-        resource.monitor = self
 
     def watch_cluster(self, cluster) -> None:
         """Watch every exclusive/counted resource of the machine: GPU
@@ -131,20 +122,18 @@ class InvariantChecker:
         net = cluster.network
         for port in (*net.inject, *net.eject, *net.intra):
             self.watch_resource(port)
-        net.monitor = self
         self._net = net
 
     def watch_ucx(self, ucx) -> None:
         """Record every posted isend/irecv to verify completion at finish."""
-        ucx.monitor = self
         self._ucx = ucx
 
     def watch_runtime(self, runtime) -> None:
         """Remember the Charm runtime for finish-time queue/mailbox checks."""
         self._runtime = runtime
 
-    # -- live hooks (engine / resource / network / ucx monitors) -----------
-    def _on_event(self, time: float, event) -> None:
+    # -- hook events (filtered to the watched components) -------------------
+    def on_event_executed(self, time: float, event) -> None:
         self.events_processed += 1
         if time < self._last_time:
             self._record(
@@ -157,8 +146,11 @@ class InvariantChecker:
             self._last_time = time
 
     def on_grant(self, resource: Resource, amount: int) -> None:
-        held = self._held.get(id(resource), 0) + amount
-        self._held[id(resource)] = held
+        key = id(resource)
+        if key not in self._held:
+            return
+        held = self._held[key] + amount
+        self._held[key] = held
         if held > resource.capacity:
             rule = ("resource-exclusivity" if resource.capacity == 1
                     else "resource-capacity")
@@ -168,22 +160,28 @@ class InvariantChecker:
             )
 
     def on_release(self, resource: Resource, amount: int) -> None:
-        held = self._held.get(id(resource), 0) - amount
-        self._held[id(resource)] = held
+        key = id(resource)
+        if key not in self._held:
+            return
+        held = self._held[key] - amount
+        self._held[key] = held
         if held < 0:
             self._record(
                 "resource-release", resource.name,
                 f"release without matching grant (balance {held})",
             )
 
-    def on_send(self, message) -> None:
-        self._chan_sent[(message.src_pe, message.dst_pe)] += 1
+    def on_net_send(self, network, message) -> None:
+        if network is self._net:
+            self._chan_sent[(message.src_pe, message.dst_pe)] += 1
 
-    def on_deliver(self, message) -> None:
-        self._chan_delivered[(message.src_pe, message.dst_pe)] += 1
+    def on_net_deliver(self, network, message) -> None:
+        if network is self._net:
+            self._chan_delivered[(message.src_pe, message.dst_pe)] += 1
 
-    def on_post(self, handle) -> None:
-        self._posted.append(handle)
+    def on_ucx_post(self, ucx, handle) -> None:
+        if ucx is self._ucx:
+            self._posted.append(handle)
 
     # -- finish-time checks -------------------------------------------------
     def finish(self, raise_on_violation: bool = True) -> "InvariantChecker":

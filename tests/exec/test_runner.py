@@ -102,6 +102,18 @@ def test_cache_round_trip_through_runner(tmp_path):
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
+def test_cold_cache_counts_every_miss_without_sizing_the_cache(tmp_path, monkeypatch):
+    # An empty cache is falsy; the runner must still look every point up,
+    # and never glob the cache directory (``__len__``) to decide whether to.
+    def no_len(self):
+        raise AssertionError("ResultCache.__len__ called by the runner")
+
+    monkeypatch.setattr(ResultCache, "__len__", no_len)
+    cache = ResultCache(tmp_path)
+    ParallelRunner(cache=cache).run_configs(_CONFIGS[:3])
+    assert (cache.stats.misses, cache.stats.hits, cache.stats.writes) == (3, 0, 3)
+
+
 def test_cache_hit_outcomes_are_flagged(tmp_path):
     cache = ResultCache(tmp_path)
     ParallelRunner(cache=cache).run_configs(_CONFIGS[:1])

@@ -10,3 +10,8 @@ def main(engine, tracer, checker):
 def watch_late(runtime, checker):
     runtime.run()
     checker.watch_runtime(runtime)  # EXPECT: RPL036
+
+
+def attach_late(engine, registry):
+    engine.run()
+    engine.attach(registry)  # EXPECT: RPL036

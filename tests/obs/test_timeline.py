@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps.stencil.phases import classify_stencil_op as classify_op
 from repro.obs import (
-    classify_op,
     compute_comm_overlap,
     iteration_boundaries,
     per_iteration_phases,

@@ -330,11 +330,12 @@ def test_simple_store_invariant_items_xor_getters():
     store = Store(eng, name="s")
     violations = []
 
-    def audit(_time, _event):
-        if store.items and store._getters:
-            violations.append((eng.now, list(store.items)))
+    class Audit:
+        def on_event_executed(self, _time, _event):
+            if store.items and store._getters:
+                violations.append((eng.now, list(store.items)))
 
-    eng.add_monitor(audit)
+    eng.attach(Audit())
 
     def churn(i):
         for n in range(10):

@@ -131,7 +131,7 @@ def test_diff_histories_is_bitwise_not_numeric():
 def test_final_grids_match_serial_reference():
     """The assembled functional grid equals a straight serial integration
     of the same problem (independent of any runtime)."""
-    from repro.apps.decomposition import BlockGeometry
+    from repro.apps.stencil.geometry import BlockGeometry
     from repro.kernels import alloc_block, apply_boundary, hot_top_boundary, jacobi_update
 
     base = BASES[1]  # warmup=0: total_iterations == iterations
