@@ -1,9 +1,10 @@
-"""Metrics registry: labelled series, cardinality cap, rendering."""
+"""Metrics registry: labelled series, cardinality cap, attachment contract."""
 
 import pytest
 
 from repro.obs import MetricsRegistry, size_bucket
 from repro.obs.metrics import _OVERFLOW_KEY
+from repro.sim import Engine
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,56 @@ def test_snapshot_reports_overflow():
     snap = reg.snapshot()["c"]
     assert snap["dropped_series"] == 1
     assert any(s["labels"] == {"_overflow": "true"} for s in snap["series"])
+
+
+# ---------------------------------------------------------------------------
+# Attachment (the shared Observer contract)
+# ---------------------------------------------------------------------------
+
+
+def test_attach_is_idempotent_and_migrates_engines():
+    reg = MetricsRegistry()
+    eng1, eng2 = Engine(), Engine()
+    assert reg.attach(eng1) is reg
+    reg.attach(eng1)  # same engine: no-op
+    assert eng1.observers == (reg,)
+    reg.attach(eng2)  # new engine: old reference cleared
+    assert eng1.observers == () and eng1.hooks is None
+    assert eng2.observers == (reg,) and reg.engine is eng2
+
+
+def test_detach_clears_engine_reference():
+    reg = MetricsRegistry()
+    eng = Engine()
+    reg.attach(eng)
+    reg.detach()
+    assert eng.observers == () and reg.engine is None
+    reg.detach()  # no-op when unattached
+
+
+def test_context_manager_detaches_on_exit():
+    eng = Engine()
+    with MetricsRegistry().attach(eng) as reg:
+        assert eng.observers == (reg,)
+    assert eng.observers == () and eng.hooks is None
+
+
+def test_engine_counts_events_only_when_registry_attached():
+    def proc(eng):
+        yield eng.timeout(1.0)
+
+    eng = Engine()
+    eng.process(proc(eng))
+    eng.run()
+    assert eng.hooks is None  # zero-cost default: no registry, no counting
+
+    eng2 = Engine()
+    reg = MetricsRegistry().attach(eng2)
+    eng2.process(proc(eng2))
+    eng2.run()
+    assert reg.get("sim.events.scheduled").total() > 0
+    assert (reg.get("sim.events.executed").total()
+            == reg.get("sim.events.scheduled").total())
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,53 @@ def test_chrome_trace_args_keep_scalars_only():
     assert ev["args"] == {"size": 4096, "dst": 1, "note": "hi"}  # tuple dropped
 
 
+# ---------------------------------------------------------------------------
+# Tracer attachment lifecycle (idempotent attach, detach, context manager)
+# ---------------------------------------------------------------------------
+
+
+def test_attach_same_engine_is_idempotent():
+    eng = Engine()
+    tracer = Tracer().attach(eng)
+    assert tracer.attach(eng) is tracer
+    assert eng.observers == (tracer,)
+    tracer.emit("x", "a")
+    assert len(tracer.records) == 1  # no double-recording after re-attach
+
+
+def test_reattach_to_new_engine_clears_old_reference():
+    eng1, eng2 = Engine(), Engine()
+    tracer = Tracer().attach(eng1)
+    tracer.attach(eng2)
+    assert eng1.observers == () and eng1.hooks is None
+    assert eng2.observers == (tracer,) and tracer.engine is eng2
+
+
+def test_detach_clears_engine_and_is_safe_to_repeat():
+    eng = Engine()
+    tracer = Tracer().attach(eng)
+    tracer.detach()
+    assert eng.observers == () and tracer.engine is None
+    tracer.detach()  # no-op when unattached
+
+
+def test_detach_leaves_foreign_tracer_alone():
+    # Someone else attached after us: detach must not evict them.
+    eng = Engine()
+    first = Tracer().attach(eng)
+    second = Tracer().attach(eng)
+    first.detach()
+    assert eng.observers == (second,)
+
+
+def test_context_manager_detaches_on_exit():
+    eng = Engine()
+    with Tracer().attach(eng) as tracer:
+        tracer.emit("cat", "actor")
+    assert eng.observers == () and eng.hooks is None
+    assert len(tracer.records) == 1  # records survive detachment
+
+
 def test_category_prefix_filtering():
     eng = Engine()
     tracer = Tracer(categories=["gpu.", "net.send"]).attach(eng)
