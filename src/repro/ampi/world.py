@@ -1,7 +1,8 @@
 """AMPI: virtualized MPI ranks running as chares.
 
-Same programming surface as :class:`repro.mpi.MpiProcess` — but an
-:class:`AmpiProcess` is hosted by a chare on the Charm++-like runtime, so:
+An :class:`AmpiProcess` runs the same rank program as
+:class:`repro.mpi.MpiProcess`, but hosted by a chare on the Charm++-like
+runtime, so:
 
 * ``waitall``/``wait``/``sync`` *suspend the chare* instead of spinning the
   CPU: other virtual ranks on the same PE keep working (automatic
@@ -22,8 +23,7 @@ from typing import Callable, Optional
 
 from ..comm.ucx import PRIORITY_COMM
 from ..hardware import Cluster
-from ..mpi.api import MpiCosts, Request, _Irecv, _Isend, _WaitAll
-from ..mpi.api import allreduce_algorithm, barrier_algorithm
+from ..mpi.api import MpiCosts, RankProcess, Request, _Irecv, _Isend, _WaitAll
 from ..runtime import Chare, CharmRuntime
 from ..runtime.commands import Await, Launch, LaunchGraph, Work
 from ..sim import SimulationError
@@ -31,31 +31,25 @@ from ..sim import SimulationError
 __all__ = ["AmpiProcess", "AmpiWorld"]
 
 
-class AmpiProcess:
+class AmpiProcess(RankProcess):
     """Base class for AMPI rank programs; subclass and implement ``main()``.
 
-    The command constructors are identical to :class:`repro.mpi.MpiProcess`
-    (the same ``main()`` generator usually runs under both worlds).
+    ``pe``/``gpu`` are bound *after* ``init``, when the hosting chare
+    attaches: allocate device state in ``main``.
     """
 
-    def __init__(self, world: "AmpiWorld", rank: int):
-        self.world = world
-        self.rank = rank
-        self._chare: Optional[Chare] = None  # bound by the hosting chare
-        self._coll_seq = 0
-        self.init()
+    BARRIER_TAG = "ampi-bar"
+    ALLREDUCE_TAG = "ampi-ared"
 
-    def init(self) -> None:
-        """Subclass hook (note: ``pe``/``gpu`` are bound *after* init when
-        the hosting chare attaches; allocate device state in ``main``)."""
+    def __init__(self, world: "AmpiWorld", rank: int):
+        self._chare: Optional[Chare] = None  # bound by the hosting chare
+        super().__init__(world, rank)
 
     def main(self, msg=None):  # pragma: no cover - must be overridden
+        """The virtual rank program: ``pe``/``gpu`` are bound by now, and
+        its waits suspend the hosting chare instead of spinning the PE."""
         raise NotImplementedError
         yield  # repro-lint: disable=RPL003 -- unreachable generator-marker idiom
-
-    @property
-    def size(self) -> int:
-        return self.world.size
 
     @property
     def pe(self):
@@ -64,48 +58,6 @@ class AmpiProcess:
     @property
     def gpu(self):
         return self._chare.gpu
-
-    # -- command constructors (identical surface to MpiProcess) ----------------
-    def work(self, seconds: float) -> Work:
-        return Work(seconds)
-
-    def launch(self, stream, work, name: str = "", wait=(), reads=(),
-               writes=()) -> Launch:
-        return Launch(stream, work, name=name, wait_events=tuple(wait),
-                      reads=tuple(reads), writes=tuple(writes))
-
-    def launch_graph(self, graph_exec, priority: int = 0, after=()) -> LaunchGraph:
-        return LaunchGraph(graph_exec, priority=priority, after=tuple(after))
-
-    def isend(self, dest: int, size: int, tag=0, device: bool = False,
-              payload=None) -> _Isend:
-        return _Isend(dest, size, tag, device, payload)
-
-    def irecv(self, source: int, size: int, tag=0, device: bool = False) -> _Irecv:
-        return _Irecv(source, size, tag, device)
-
-    def wait(self, request: Request) -> _WaitAll:
-        return _WaitAll((request,))
-
-    def waitall(self, requests) -> _WaitAll:
-        return _WaitAll(tuple(requests))
-
-    def sync(self, event) -> Await:
-        return Await(event)
-
-    def barrier(self):
-        gen = ("ampi-bar", self._coll_seq)
-        self._coll_seq += 1
-        yield from barrier_algorithm(self, gen)
-
-    def allreduce(self, value, op: Optional[Callable] = None, bytes_per_item: int = 8):
-        gen = ("ampi-ared", self._coll_seq)
-        self._coll_seq += 1
-        result = yield from allreduce_algorithm(self, gen, value, op, bytes_per_item)
-        return result
-
-    def notify(self, event: str, **data) -> None:
-        self.world._notify(event, self, **data)
 
 
 def _make_rank_chare(world: "AmpiWorld"):

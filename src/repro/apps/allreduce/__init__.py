@@ -14,12 +14,11 @@ algorithms against each other, not just frontends.
 
 from ...hardware.specs import MachineSpec
 from ..registry import AppSpec, register
-from .ampi_app import make_allreduce_ampi_rank_class
 from .charm_app import make_allreduce_block_class
 from .config import AllreduceConfig, AllreduceResult
 from .context import AllreduceContext, AllreduceData, reference_allreduce
-from .mpi_app import make_allreduce_rank_class
 from .phases import ALLREDUCE_PHASES, ALLREDUCE_PHASE_KERNELS, classify_allreduce_op
+from .rank_program import make_allreduce_rank_program
 
 __all__ = [
     "ALLREDUCE_PHASES",
@@ -96,8 +95,7 @@ SPEC = register(AppSpec(
     result_cls=AllreduceResult,
     make_context=AllreduceContext,
     make_block_class=make_allreduce_block_class,
-    make_rank_class=make_allreduce_rank_class,
-    make_ampi_rank_class=make_allreduce_ampi_rank_class,
+    make_rank_program=make_allreduce_rank_program,
     phases=ALLREDUCE_PHASES,
     classify_op=classify_allreduce_op,
     phase_kernels=ALLREDUCE_PHASE_KERNELS,

@@ -3,17 +3,17 @@
 :func:`run_app` owns everything that is *not* app-specific — engine,
 cluster, tracer/observatory attachment, invariant checking, metrics
 collection, and result assembly.  The app supplies only its config class,
-context factory and frontend block/rank classes, all looked up through its
-:class:`~repro.apps.registry.AppSpec`.
+context factory, Charm++ block class and MPI/AMPI rank program, all looked
+up through its :class:`~repro.apps.registry.AppSpec`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..ampi import AmpiWorld
+from ..ampi import AmpiProcess, AmpiWorld
 from ..hardware import COMPUTE, Cluster
-from ..mpi import MpiWorld
+from ..mpi import MpiProcess, MpiWorld
 from ..obs.timeline import compute_comm_overlap
 from ..runtime import CharmRuntime
 from ..sim import Engine, Tracer, trace
@@ -21,6 +21,30 @@ from ..validate.invariants import InvariantChecker
 from .registry import spec_for
 
 __all__ = ["run_app"]
+
+
+def _rank_class(program, eager_setup: bool):
+    """Host a rank-program mixin as MPI (``eager_setup``) or AMPI ranks.
+
+    An MPI rank has its ``pe``/``gpu`` at construction, so device setup
+    runs in ``init`` — the historical event order every cached result
+    depends on.  An AMPI rank gets them only when its hosting chare
+    attaches, so setup waits for the top of ``main``.
+    """
+    host = MpiProcess if eager_setup else AmpiProcess
+
+    class Rank(program, host):
+        def init(self):
+            self._bind_unit()
+            if eager_setup:
+                self._setup_device()
+
+        def main(self, msg=None):
+            if not eager_setup:
+                self._setup_device()
+            yield from self._main_body()
+
+    return Rank
 
 
 def run_app(
@@ -100,44 +124,38 @@ def run_app(
             key = getattr(unit, "index", None) or getattr(unit, "rank", None)
             trace(engine, "app.iter_done", str(key), iter=data["iter"])
 
-    blocks = None
+    runtime = world = None
     if config.is_charm:
         runtime = CharmRuntime(cluster)
         runtime.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(runtime.ucx)
+    else:
+        if config.is_ampi:
+            world = AmpiWorld(cluster, vranks=config.n_blocks())
+            runtime = world.runtime
+        else:
+            world = MpiWorld(cluster)
+        world.observe(observer)
+    ucx = world.ucx if runtime is None else runtime.ucx
+    if checker is not None:
+        checker.watch_ucx(ucx)
+        if runtime is not None:
             checker.watch_runtime(runtime)
-        if sanitizer is not None:
-            sanitizer.watch_runtime(runtime)
+    if sanitizer is not None and runtime is not None:
+        sanitizer.watch_runtime(runtime)
+
+    blocks = None
+    if world is None:
         array = runtime.create_array(
             spec.make_block_class(ctx), shape=ctx.shape, mapping="block", name=spec.name
         )
         array.broadcast("run")
         runtime.run()
-        ucx = runtime.ucx
         if config.functional:
             blocks = {idx: ch.data.f_interior() for idx, ch in array.elements.items()}
-    elif config.is_ampi:
-        world = AmpiWorld(cluster, vranks=config.n_blocks())
-        world.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(world.runtime.ucx)
-            checker.watch_runtime(world.runtime)
-        if sanitizer is not None:
-            sanitizer.watch_runtime(world.runtime)
-        ranks = world.launch(spec.make_ampi_rank_class(ctx))
-        world.run()
-        ucx = world.runtime.ucx
-        if config.functional:
-            blocks = {r.index: r.data.f_interior() for r in ranks}
     else:
-        world = MpiWorld(cluster)
-        world.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(world.ucx)
-        ranks = world.launch(spec.make_rank_class(ctx))
+        program = spec.make_rank_program(ctx)
+        ranks = world.launch(_rank_class(program, eager_setup=config.is_mpi))
         world.run()
-        ucx = world.ucx
         if config.functional:
             blocks = {r.index: r.data.f_interior() for r in ranks}
 

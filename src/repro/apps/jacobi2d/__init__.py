@@ -15,9 +15,8 @@ from ..stencil import (
     StencilContext,
     StencilResult,
     classify_stencil_op,
-    make_ampi_rank_class,
     make_block_class,
-    make_rank_class,
+    make_rank_program,
 )
 from .config import ALL_VERSIONS, VERSIONS, Jacobi2DConfig, Jacobi2DResult
 
@@ -65,8 +64,7 @@ SPEC = register(AppSpec(
     result_cls=StencilResult,
     make_context=StencilContext,
     make_block_class=make_block_class,
-    make_rank_class=make_rank_class,
-    make_ampi_rank_class=make_ampi_rank_class,
+    make_rank_program=make_rank_program,
     phases=STENCIL_PHASES,
     classify_op=classify_stencil_op,
     phase_kernels=STENCIL_PHASE_KERNELS,

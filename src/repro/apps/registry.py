@@ -9,7 +9,7 @@ harness:
   carries the app name) and revives cached results via
   :func:`result_from_dict`;
 * the **generic driver** (:func:`repro.apps.driver.run_app`) uses
-  ``make_context`` and the three frontend factories;
+  ``make_context`` and the two frontend factories;
 * the **observability layer** consumes the app-declared ``phases`` and
   ``classify_op`` instead of a hardcoded phase tuple;
 * the **validation layer** runs ``differential_base`` through the
@@ -45,7 +45,8 @@ class AppSpec:
     name: str
     #: One-line human description (``repro apps``).
     description: str
-    #: The app's :class:`~repro.apps.stencil.config.StencilConfig` subclass.
+    #: The app's config class (a :class:`~repro.apps.stencil.config.
+    #: StencilConfig` or :class:`~repro.apps.appbase.BaseAppConfig` subclass).
     config_cls: type
     #: The app's result class (``from_dict`` revives cache entries).
     result_cls: type
@@ -53,10 +54,9 @@ class AppSpec:
     make_context: Callable
     #: ``ctx -> Chare subclass`` (Charm++ frontend).
     make_block_class: Callable
-    #: ``ctx -> MpiProcess subclass`` (plain-MPI frontend).
-    make_rank_class: Callable
-    #: ``ctx -> AmpiProcess subclass`` (AMPI frontend).
-    make_ampi_rank_class: Callable
+    #: ``ctx -> mixin`` implementing ``_bind_unit``/``_setup_device``/
+    #: ``_main_body``; the driver hosts it as MPI or AMPI ranks.
+    make_rank_program: Callable
     #: Declared cost-phase vocabulary, in display order.
     phases: tuple
     #: ``(category, op_name) -> phase`` trace classifier.

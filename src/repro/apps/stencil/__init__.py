@@ -9,10 +9,9 @@ Everything the Jacobi-style apps share, parameterized by dimensionality:
   its serialized (and cache-key) form;
 * :mod:`~repro.apps.stencil.context` — per-run state: block data, work
   models, metrics, residual history;
-* :mod:`~repro.apps.stencil.charm_app` / :mod:`~repro.apps.stencil.mpi_app`
-  / :mod:`~repro.apps.stencil.ampi_app` / :mod:`~repro.apps.stencil.
-  rank_program` — the three runtime frontends (paper Figs. 1, 3, 5), all
-  dimension-agnostic;
+* :mod:`~repro.apps.stencil.charm_app` / :mod:`~repro.apps.stencil.
+  rank_program` — the Charm++ chare and the MPI/AMPI rank program (paper
+  Figs. 1, 3, 5), both dimension-agnostic;
 * :mod:`~repro.apps.stencil.phases` — the declared phase vocabulary and
   trace classifier the observability layer consumes.
 
@@ -22,7 +21,6 @@ boundary condition, and register an :class:`~repro.apps.registry.AppSpec` —
 see ``docs/apps.md``.
 """
 
-from .ampi_app import make_ampi_rank_class
 from .charm_app import make_block_class
 from .config import ALL_VERSIONS, VERSIONS, StencilConfig, StencilResult
 from .context import (
@@ -33,7 +31,6 @@ from .context import (
     default_boundary,
 )
 from .geometry import BlockGeometry, factor_triples, factor_tuples, partition_dims
-from .mpi_app import make_rank_class
 from .phases import STENCIL_PHASES, STENCIL_PHASE_KERNELS, classify_stencil_op
 from .rank_program import make_rank_program
 
@@ -55,7 +52,5 @@ __all__ = [
     "STENCIL_PHASE_KERNELS",
     "classify_stencil_op",
     "make_block_class",
-    "make_rank_class",
-    "make_ampi_rank_class",
     "make_rank_program",
 ]

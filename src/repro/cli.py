@@ -374,7 +374,10 @@ def _app_config(args, **extra):
             raise SystemExit(
                 f"repro: --grid needs {ndim} value(s) for app "
                 f"{args.app!r}, got {len(kwargs['grid'])}")
-    return spec.config_cls(**kwargs)
+    try:
+        return spec.config_cls(**kwargs)
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
 
 
 def _cmd_run(args) -> int:

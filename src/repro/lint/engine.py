@@ -2,10 +2,10 @@
 
 One :class:`LintEngine` run parses every ``.py`` file under the given
 paths, builds a light semantic model (chare-like classes via transitive
-base-name closure from ``Chare``/``MpiProcess``/``AmpiProcess``, generator
-methods, message producers/consumers), then applies the rule families of
-:mod:`repro.lint.rules`, :mod:`repro.lint.streamdag` and
-:mod:`repro.lint.messageflow`.
+base-name closure from ``Chare``/``RankProcess``/``MpiProcess``/
+``AmpiProcess``, generator methods, message producers/consumers), then
+applies the rule families of :mod:`repro.lint.rules`,
+:mod:`repro.lint.streamdag` and :mod:`repro.lint.messageflow`.
 Findings suppressed by ``# repro-lint: disable=CODE`` comments
 (:mod:`repro.lint.suppressions`) are counted but not reported.
 

@@ -135,7 +135,7 @@ COMMAND_FACTORIES = frozenset({
 SUSPEND_ONLY = frozenset({"when", "wait", "wait_all", "sync"})
 # Root classes of the chare-style DSL; subclasses (transitively, within the
 # linted tree) are treated as chare-like.
-BASE_CLASS_NAMES = frozenset({"Chare", "MpiProcess", "AmpiProcess"})
+BASE_CLASS_NAMES = frozenset({"Chare", "RankProcess", "MpiProcess", "AmpiProcess"})
 
 
 def is_generator_fn(fn: ast.FunctionDef) -> bool:

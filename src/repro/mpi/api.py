@@ -29,7 +29,7 @@ from ..hardware.graphs import GraphExec
 from ..sim import Event, SimulationError
 from ..runtime.commands import Await, Launch, LaunchGraph, Work
 
-__all__ = ["MpiCosts", "Request", "MpiProcess", "MpiWorld"]
+__all__ = ["MpiCosts", "Request", "RankProcess", "MpiProcess", "MpiWorld"]
 
 US = 1e-6
 
@@ -84,23 +84,23 @@ class _WaitAll:
     requests: tuple
 
 
-class MpiProcess:
-    """Base class for rank programs; subclass and implement ``main()``."""
+class RankProcess:
+    """The rank-program surface shared by MPI and AMPI: subclass
+    :class:`MpiProcess` or :class:`repro.ampi.AmpiProcess` and implement
+    ``main()`` — the same ``main()`` generator runs under both worlds."""
 
-    def __init__(self, world: "MpiWorld", rank: int):
+    #: Tag prefixes of the ``barrier``/``allreduce`` collectives.
+    BARRIER_TAG = "bar"
+    ALLREDUCE_TAG = "ared"
+
+    def __init__(self, world, rank: int):
         self.world = world
         self.rank = rank
-        self.pe = world.cluster.pe(rank)
-        self.gpu = self.pe.gpu
         self._coll_seq = 0
         self.init()
 
     def init(self) -> None:
         """Subclass hook: allocate buffers, create streams."""
-
-    def main(self, msg=None):  # pragma: no cover - must be overridden
-        raise NotImplementedError
-        yield  # repro-lint: disable=RPL003 -- unreachable generator-marker idiom
 
     @property
     def size(self) -> int:
@@ -144,14 +144,14 @@ class MpiProcess:
     # -- collectives (use with ``yield from``) --------------------------------------
     def barrier(self):
         """Dissemination barrier out of zero-byte point-to-point messages."""
-        gen = ("bar", self._coll_seq)
+        gen = (self.BARRIER_TAG, self._coll_seq)
         self._coll_seq += 1
         yield from barrier_algorithm(self, gen)
 
     def allreduce(self, value, op: Callable[[Any, Any], Any] = None, bytes_per_item: int = 8):
         """Binomial-tree reduce to rank 0 + binomial broadcast; returns the
         reduced value.  ``op`` defaults to addition."""
-        gen = ("ared", self._coll_seq)
+        gen = (self.ALLREDUCE_TAG, self._coll_seq)
         self._coll_seq += 1
         result = yield from allreduce_algorithm(self, gen, value, op, bytes_per_item)
         return result
@@ -159,6 +159,21 @@ class MpiProcess:
     def notify(self, event: str, **data) -> None:
         """Report an application event to world observers (free)."""
         self.world._notify(event, self, **data)
+
+
+class MpiProcess(RankProcess):
+    """Base class for MPI rank programs: one rank per PE, with ``pe``/``gpu``
+    bound at construction (before ``init``)."""
+
+    def __init__(self, world: "MpiWorld", rank: int):
+        self.pe = world.cluster.pe(rank)
+        self.gpu = self.pe.gpu
+        super().__init__(world, rank)
+
+    def main(self, msg=None):  # pragma: no cover - must be overridden
+        """The rank program; its waits spin this rank's PE."""
+        raise NotImplementedError
+        yield  # repro-lint: disable=RPL003 -- unreachable generator-marker idiom
 
 
 class MpiWorld:

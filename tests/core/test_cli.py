@@ -165,6 +165,24 @@ def test_inapplicable_flags_rejected_per_app():
         main(["run", "--app", "cholesky", "--fusion", "C"])
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--nodes", "0"], "nodes"),
+    (["run", "--odf", "0"], "odf"),
+    (["run", "--version", "mpi-d", "--odf", "2"], "odf"),
+    (["run", "--app", "cholesky", "--tiles", "0"], "tiles"),
+    (["run", "--app", "allreduce", "--chunks", "0"], "chunks"),
+    (["perf", "run", "--nodes", "0"], "nodes"),
+    (["perf", "profile", "--nodes", "0"], "nodes"),
+    (["perf", "whatif", "--nodes", "0", "--advise-odf", "1,2"], "nodes"),
+])
+def test_invalid_config_exits_with_message_naming_field(argv, field):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith("repro: ")
+    assert field in message
+
+
 def test_sweep_requires_a_stencil_app():
     with pytest.raises(SystemExit, match="no grid to weak-scale"):
         main(["sweep", "--app", "cholesky"])

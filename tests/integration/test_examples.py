@@ -5,6 +5,7 @@ heavier scaling examples are exercised by the benchmark suite instead).
 """
 
 import importlib.util
+import runpy
 import sys
 from pathlib import Path
 
@@ -39,6 +40,21 @@ def test_quickstart_runs(capsys):
     load("quickstart").main()
     out = capsys.readouterr().out
     assert "bit-identical to the serial reference: True" in out
+
+
+#: The examples that use the rank/chare APIs outside the package: the first
+#: subclasses MpiProcess and AmpiProcess with one shared mixin, the second
+#: imports make_block_class from repro.apps.stencil.
+SCRIPT_RUNS = {
+    "ampi_virtualization": "speedup from virtualization-driven overlap",
+    "fault_tolerance": "bit-identical to an uninterrupted 12-iteration solve: True",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_RUNS))
+def test_rank_api_examples_run_as_scripts(name, capsys):
+    runpy.run_path(str(EXAMPLES / f"{name}.py"), run_name="__main__")
+    assert SCRIPT_RUNS[name] in capsys.readouterr().out
 
 
 @pytest.mark.slow
