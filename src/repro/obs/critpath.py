@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..sim import Tracer, merge_intervals
-from .timeline import _stencil_phase_decl
+from .timeline import PhaseSpans, gpu_phase_spans
 
 __all__ = ["PathSegment", "CriticalPath", "collect_segments", "critical_path"]
 
@@ -108,34 +108,28 @@ class CriticalPath:
 
 
 def collect_segments(cluster, tracer: Optional[Tracer] = None,
-                     classify=None) -> list[tuple[float, float, str]]:
+                     classify=None, spans: Optional[PhaseSpans] = None,
+                     ) -> list[tuple[float, float, str]]:
     """Every recorded activity interval of a run as ``(start, end, category)``.
 
     PE-core busy time and the network in-flight tracker come from the
     cluster's interval trackers; GPU activity comes from the trace when one
     was attached (phase-classified per operation through ``classify``, the
-    app's trace classifier — default: the stencil declaration) and falls
-    back to the per-engine trackers (category ``gpu.<engine>``) otherwise.
+    app's trace classifier — default: the stencil declaration; or taken
+    from ``spans``, the trace already classified) and falls back to the
+    per-engine trackers (category ``gpu.<engine>``) otherwise.
     """
-    if classify is None:
-        classify = _stencil_phase_decl()[1]
     segments: list[tuple[float, float, str]] = []
     for pe in cluster.all_pes():
         segments.extend((a, b, "pe") for a, b in pe.busy.spans)
     segments.extend((a, b, "nic") for a, b in cluster.network.inflight.spans)
-    traced_gpu = False
-    if tracer is not None:
-        for rec in tracer.records:
-            if not rec.category.startswith("gpu."):
-                continue
-            duration = rec.data.get("duration")
-            if duration is None:
-                continue
-            start = float(rec.data.get("start", rec.time))
-            phase = classify(rec.category, str(rec.data.get("op", "")))
-            segments.append((start, start + float(duration), phase))
-            traced_gpu = True
-    if not traced_gpu:
+    if spans is not None:
+        traced = spans.gpu
+    else:
+        traced = gpu_phase_spans(tracer, classify) if tracer is not None else []
+    if traced:
+        segments.extend(traced)
+    else:
         for node in cluster.nodes:
             for gpu in node.gpus:
                 for kind, tracker in gpu.trackers.items():

@@ -18,8 +18,9 @@ from small enumerable domains (pe index, protocol name, msg-size bucket);
 a per-metric cardinality cap (default :data:`MAX_SERIES`) guards against a
 bug introducing an unbounded label (e.g. a per-message id): past the cap,
 samples are folded into a single ``(overflow)`` series instead of growing
-memory without bound, and ``dropped_series`` records how many distinct
-label sets were folded.
+memory without bound, and ``dropped_series`` records how many samples
+were folded.  Each metric builds a label set's key once and caches it
+(see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -82,12 +83,20 @@ class _Metric:
         self.series: dict[tuple, Any] = {}
         self.dropped_series = 0
         self._overflow_warned = False
+        # Label probe -> series key, for label sets that have a series.
+        self._keys: dict[tuple, tuple] = {}
 
     def _cell_key(self, labels: dict) -> tuple:
-        # Unlabelled series (the engine's per-event counters) skip the
-        # sort/str tuple build entirely — the enabled path must stay
-        # append-only with no per-call allocation beyond the cell update.
-        key = _label_key(labels) if labels else ()
+        # The probe pairs each label with its value's type: ``pe=1`` and
+        # ``pe=True`` hash equal but render as different series.
+        try:
+            probe = (*labels.items(), *map(type, labels.values()))
+            key = self._keys.get(probe)
+        except TypeError:  # an unhashable label value: no caching
+            probe = key = None
+        if key is not None:
+            return key
+        key = _label_key(labels)
         if key not in self.series and len(self.series) >= self.max_series:
             self.dropped_series += 1
             if not self._overflow_warned:
@@ -99,7 +108,10 @@ class _Metric:
                     f"metric {self.name!r} exceeded {self.max_series} label "
                     f"sets; folding further series into (overflow) — see "
                     f"{OVERFLOW_METRIC}", RuntimeWarning, stacklevel=4)
+            # Not cached: every folded sample must reach this count.
             return _OVERFLOW_KEY
+        if probe is not None and len(self._keys) < self.max_series:
+            self._keys[probe] = key
         return key
 
     def snapshot(self) -> dict:
@@ -123,12 +135,14 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, value: float = 1.0, **labels) -> None:
+        self._add(value, labels)
+
+    def _add(self, value: float, labels: dict) -> None:
+        """:meth:`inc` with the labels as a dict."""
         if value < 0:
             raise ValueError(f"counter {self.name}: negative increment {value}")
         series = self.series
-        # An existing unlabelled cell (the engine's per-event counters)
-        # needs no key build or cardinality check.
-        key = () if not labels and () in series else self._cell_key(labels)
+        key = self._cell_key(labels)
         series[key] = series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -144,6 +158,10 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
+        self._put(value, labels)
+
+    def _put(self, value: float, labels: dict) -> None:
+        """:meth:`set` with the labels as a dict."""
         key = self._cell_key(labels)
         cell = self.series.get(key)
         if cell is None:
@@ -179,6 +197,10 @@ class Histogram(_Metric):
         self.edges = edges
 
     def observe(self, value: float, **labels) -> None:
+        self._sample(value, labels)
+
+    def _sample(self, value: float, labels: dict) -> None:
+        """:meth:`observe` with the labels as a dict."""
         key = self._cell_key(labels)
         cell = self.series.get(key)
         if cell is None:
@@ -210,13 +232,30 @@ class MetricsRegistry(Observer):
     def __init__(self, max_series: int = MAX_SERIES):
         self._metrics: dict[str, _Metric] = {}
         self.max_series = max_series
+        # The per-event counters' series dicts, bound at their first event
+        # (so a registry that saw no event has no such metric).
+        self._scheduled: dict = {}
+        self._executed: dict = {}
 
     # -- hook events: the simulator's counter catalogue --------------------
     def on_event_scheduled(self, event) -> None:
-        self.inc("sim.events.scheduled")
+        try:
+            self._scheduled[()] += 1.0
+        except KeyError:
+            self._scheduled = self._bind_event_counter("sim.events.scheduled")
 
     def on_event_executed(self, time, event) -> None:
-        self.inc("sim.events.executed")
+        try:
+            self._executed[()] += 1.0
+        except KeyError:
+            self._executed = self._bind_event_counter("sim.events.executed")
+
+    def _bind_event_counter(self, name: str) -> dict:
+        """Count one event through :meth:`inc` (creating the counter) and
+        return the series dict holding its unlabelled cell.  While that
+        cell is folded into ``(overflow)`` every event comes back here."""
+        self.inc(name)
+        return self._metrics[name].series
 
     def on_sched_dequeue(self, scheduler, is_resume: bool) -> None:
         pe = scheduler.pe.index
@@ -282,19 +321,19 @@ class MetricsRegistry(Observer):
         metric = self._metrics.get(name)
         if metric is None or metric.__class__ is not Counter:
             metric = self.counter(name)  # create, or raise on kind clash
-        metric.inc(value, **labels)
+        metric._add(value, labels)
 
     def set(self, name: str, value: float, **labels) -> None:
         metric = self._metrics.get(name)
         if metric is None or metric.__class__ is not Gauge:
             metric = self.gauge(name)
-        metric.set(value, **labels)
+        metric._put(value, labels)
 
     def observe(self, name: str, value: float, **labels) -> None:
         metric = self._metrics.get(name)
         if metric is None or metric.__class__ is not Histogram:
             metric = self.histogram(name)
-        metric.observe(value, **labels)
+        metric._sample(value, labels)
 
     # -- queries -----------------------------------------------------------
     def get(self, name: str) -> Optional[_Metric]:

@@ -25,7 +25,7 @@ from typing import Optional
 from ..sim import Tracer, to_chrome_trace
 from .critpath import collect_segments, critical_path
 from .metrics import MetricsRegistry
-from .timeline import per_iteration_phases, phase_breakdown, resource_usage
+from .timeline import PhaseSpans, iteration_boundaries, resource_usage
 
 __all__ = [
     "COMPARE_SCHEMA",
@@ -77,9 +77,9 @@ class Observatory:
         spec = spec_for(result.config)
         t_end = self.engine.now
         t_warm = result.warmup_boundary
-        path = critical_path(
-            collect_segments(self.cluster, self.tracer, classify=spec.classify_op),
-            t_start=0.0, t_end=t_end)
+        spans = PhaseSpans(self.tracer, phases=spec.phases, classify=spec.classify_op)
+        path = critical_path(collect_segments(self.cluster, spans=spans),
+                             t_start=0.0, t_end=t_end)
         return PerfReport(
             config=result.config.to_dict(),
             makespan=t_end,
@@ -88,10 +88,8 @@ class Observatory:
             overlap_s=result.overlap_s,
             gpu_utilization=result.gpu_utilization,
             resources=[r.to_dict() for r in resource_usage(self.cluster, t_warm, t_end)],
-            phases=phase_breakdown(self.tracer, 0.0, t_end,
-                                   phases=spec.phases, classify=spec.classify_op),
-            iterations=per_iteration_phases(self.tracer, phases=spec.phases,
-                                            classify=spec.classify_op),
+            phases=spans.breakdown(0.0, t_end),
+            iterations=spans.per_iteration(iteration_boundaries(self.tracer)),
             critical_path=path.to_dict(),
             counters=self.registry.scalar_totals(),
             metrics=self.registry.snapshot() if self.include_metrics else None,

@@ -20,6 +20,7 @@ a finished run's cluster (interval trackers) and optional trace, answer
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +28,11 @@ from ..hardware.gpu import COMPUTE
 from ..sim import Tracer, merge_intervals, overlap_seconds
 
 __all__ = [
+    "PhaseSpans",
     "ResourceUsage",
     "compute_comm_overlap",
     "gpu_compute_spans",
+    "gpu_phase_spans",
     "iteration_boundaries",
     "per_iteration_phases",
     "phase_breakdown",
@@ -129,41 +132,93 @@ def _resolve_phase_decl(phases, classify):
     return phases, classify
 
 
-def phase_intervals(tracer: Tracer, phases=None,
-                    classify=None) -> dict[str, list[tuple[float, float]]]:
-    """Raw (unmerged) busy intervals per phase from a run's trace.
-
-    Uses the duration-carrying ``gpu.*`` records and the ``net.deliver``
-    records (whose ``latency`` payload reconstructs the in-flight window).
-    ``phases``/``classify`` come from the app's spec; default: the stencil
-    declaration.  Network in-flight windows land in ``nic`` when the
-    vocabulary declares it, else in the last phase (the catch-all).
-    """
-    phases, classify = _resolve_phase_decl(phases, classify)
-    out: dict[str, list[tuple[float, float]]] = {phase: [] for phase in phases}
-    net_phase = "nic" if "nic" in out else phases[-1]
+def gpu_phase_spans(tracer: Tracer, classify=None) -> list[tuple[float, float, str]]:
+    """``(start, end, phase)`` for every duration-carrying ``gpu.*`` trace
+    record, in trace order, classified through ``classify`` (default: the
+    stencil declaration)."""
+    if classify is None:
+        classify = _stencil_phase_decl()[1]
+    out = []
     for rec in tracer.records:
         if rec.category.startswith("gpu."):
             duration = rec.data.get("duration")
-            if duration is None:
-                continue
-            start = rec.data.get("start", rec.time)
-            phase = classify(rec.category, str(rec.data.get("op", "")))
-            out[phase].append((start, start + float(duration)))
-        elif rec.category == "net.deliver":
-            latency = float(rec.data.get("latency", 0.0))
-            if latency > 0.0:
-                out[net_phase].append((rec.time - latency, rec.time))
+            if duration is not None:
+                start = float(rec.data.get("start", rec.time))
+                out.append((start, start + float(duration),
+                            classify(rec.category, str(rec.data.get("op", "")))))
     return out
 
 
-def _clipped_busy(spans: list[tuple[float, float]], t0: float, t1: float) -> float:
-    total = 0.0
-    for a, b in merge_intervals(spans):
-        lo, hi = max(a, t0), min(b, t1)
-        if hi > lo:
-            total += hi - lo
-    return total
+class PhaseSpans:
+    """A trace's busy intervals per phase, classified and merged once.
+
+    ``gpu`` is :func:`gpu_phase_spans`; ``raw`` adds the ``net.deliver``
+    records' in-flight windows (whose ``latency`` payload reconstructs
+    them) and groups per phase, unmerged; ``merged`` is each phase's
+    union.  ``phases``/``classify`` come from the app's spec; default: the
+    stencil declaration.  Network in-flight windows land in ``nic`` when
+    the vocabulary declares it, else in the last phase (the catch-all).
+    """
+
+    def __init__(self, tracer: Tracer, phases=None, classify=None):
+        phases, classify = _resolve_phase_decl(phases, classify)
+        self.gpu = gpu_phase_spans(tracer, classify)
+        raw: dict[str, list[tuple[float, float]]] = {phase: [] for phase in phases}
+        for a, b, phase in self.gpu:
+            raw[phase].append((a, b))
+        net = raw["nic" if "nic" in raw else phases[-1]]
+        for rec in tracer.records:
+            if rec.category == "net.deliver":
+                latency = float(rec.data.get("latency", 0.0))
+                if latency > 0.0:
+                    net.append((rec.time - latency, rec.time))
+        self.raw = raw
+        self.merged = {phase: merge_intervals(spans) for phase, spans in raw.items()}
+        self._ends = {phase: [b for _, b in spans] for phase, spans in self.merged.items()}
+
+    def busy(self, phase: str, t0: float, t1: float) -> float:
+        """Busy seconds of ``phase`` within ``[t0, t1]``."""
+        spans = self.merged[phase]
+        total = 0.0
+        # Merged spans are disjoint and sorted, so their ends are too: the
+        # first span ending after t0 is the first that can overlap.
+        for i in range(bisect_right(self._ends[phase], t0), len(spans)):
+            a, b = spans[i]
+            if a >= t1:
+                break
+            lo, hi = max(a, t0), min(b, t1)
+            if hi > lo:
+                total += hi - lo
+        return total
+
+    def breakdown(self, t0: float = 0.0, t1: Optional[float] = None) -> dict[str, float]:
+        """Busy seconds per phase within ``[t0, t1]``; ``t1`` defaults to
+        the latest span end."""
+        if t1 is None:
+            t1 = max((b for spans in self.raw.values() for _, b in spans), default=t0)
+        return {phase: self.busy(phase, t0, t1) for phase in self.merged}
+
+    def per_iteration(self, boundaries: list[float]) -> list[dict]:
+        """Phase attribution per iteration window (see
+        :func:`per_iteration_phases`)."""
+        out = []
+        t_prev = 0.0
+        for i, t_end in enumerate(boundaries):
+            out.append({
+                "iteration": i,
+                "t0": t_prev,
+                "t1": t_end,
+                "phases": {phase: self.busy(phase, t_prev, t_end) for phase in self.merged},
+            })
+            t_prev = t_end
+        return out
+
+
+def phase_intervals(tracer: Tracer, phases=None,
+                    classify=None) -> dict[str, list[tuple[float, float]]]:
+    """Raw (unmerged) busy intervals per phase from a run's trace (see
+    :class:`PhaseSpans`)."""
+    return PhaseSpans(tracer, phases, classify).raw
 
 
 def phase_breakdown(tracer: Tracer, t0: float = 0.0,
@@ -173,10 +228,7 @@ def phase_breakdown(tracer: Tracer, t0: float = 0.0,
     concurrent same-phase work on different devices counts once per unit
     of wall-clock — the *footprint* of the phase, matching how an Nsight
     timeline reads)."""
-    intervals = phase_intervals(tracer, phases, classify)
-    if t1 is None:
-        t1 = max((b for spans in intervals.values() for _, b in spans), default=t0)
-    return {phase: _clipped_busy(spans, t0, t1) for phase, spans in intervals.items()}
+    return PhaseSpans(tracer, phases, classify).breakdown(t0, t1)
 
 
 def iteration_boundaries(tracer: Tracer) -> list[float]:
@@ -203,18 +255,4 @@ def per_iteration_phases(tracer: Tracer, phases=None, classify=None) -> list[dic
     boundaries = iteration_boundaries(tracer)
     if not boundaries:
         return []
-    intervals = phase_intervals(tracer, phases, classify)
-    out = []
-    t_prev = 0.0
-    for i, t_end in enumerate(boundaries):
-        out.append({
-            "iteration": i,
-            "t0": t_prev,
-            "t1": t_end,
-            "phases": {
-                phase: _clipped_busy(spans, t_prev, t_end)
-                for phase, spans in intervals.items()
-            },
-        })
-        t_prev = t_end
-    return out
+    return PhaseSpans(tracer, phases, classify).per_iteration(boundaries)

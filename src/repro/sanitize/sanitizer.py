@@ -12,11 +12,16 @@ attached.
 Model
 -----
 Every *lane* (a CUDA stream, a chare, an MPI rank) carries a vector clock:
-``{lane_id: tick}``.  Only streams tick — once per dispatched op; chares
-and ranks are carrier lanes whose clocks advance purely by joining the
-clocks of events they wait on and messages they consume.  An access ``a``
-happens-before an access ``b`` iff ``b``'s clock covers ``a``'s epoch:
-``b.clock[a.lane] >= a.tick``.
+a dense int array indexed by lane number.  Only streams tick — once per
+dispatched op; chares and ranks are carrier lanes whose clocks advance
+purely by joining the clocks of events they wait on and messages they
+consume.  An access ``a`` happens-before an access ``b`` iff ``b``'s clock
+covers ``a``'s epoch: ``b.clock[a.lane] >= a.tick``.
+
+Clocks are immutable once made, so events, messages and issued ops share
+them instead of copying.  A stream's clock after its op at ``tick``
+records ``lane`` in slot 0 (its epoch); a clock ``c`` with
+``c[lane] >= tick`` already covers it, so joining it is skipped in O(1).
 
 Kernels and copies *declare* the logical buffers they read and write
 (``launch(..., reads=..., writes=...)``).  Per buffer the sanitizer keeps
@@ -42,6 +47,8 @@ See docs/sanitizer.md for the full model and how apps declare accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..sim import Observer, SimulationError
 
@@ -71,10 +78,43 @@ class SanitizerError(SimulationError):
         super().__init__(f"{len(findings)} sanitizer finding(s):\n{lines}{extra}")
 
 
-def _merge(into: dict, other: dict) -> None:
-    for lane, tick in other.items():
-        if tick > into.get(lane, 0):
-            into[lane] = tick
+#: Clock entry type; ``None`` stands for the empty clock.
+_TICK = np.int32
+#: ``on_transfer_post``: no clock was announced for the posted op.
+_UNANNOUNCED = object()
+
+
+def _covers(clock, other) -> bool:
+    """Whether ``clock`` covers ``other`` by ``other``'s epoch: ``other``
+    is stream ``lane``'s clock after its op at ``other[lane]``, and every
+    clock holding a later tick of that lane was joined from it."""
+    lane = other[0]
+    return lane != 0 and lane < len(clock) and clock[lane] >= other[lane]
+
+
+def _join_into(clock, other) -> None:
+    """Join ``other`` into the fresh, not yet shared ``clock`` (at least as
+    long as ``other``)."""
+    if other is None or _covers(clock, other):
+        return
+    n = len(other)
+    view = clock if n == len(clock) else clock[:n]
+    np.maximum(view, other, out=view)
+
+
+def _join(a, b):
+    """The join of clocks ``a`` and ``b``; when an epoch shows one covers
+    the other, that one, uncopied."""
+    if b is None or b is a or (a is not None and _covers(a, b)):
+        return a
+    if a is None or _covers(b, a):
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    _join_into(out, b)
+    out[0] = 0  # a join is no stream's clock: it has no epoch
+    return out
 
 
 class _BufferState:
@@ -105,14 +145,15 @@ class Sanitizer(Observer):
         self._lane_of: dict[int, int] = {}
         self._lane_label: dict[int, str] = {}
         self._lane_obj: dict[int, object] = {}
-        self._clock: dict[int, dict] = {}     # lane -> vector clock
+        self._clock: dict[int, object] = {}   # lane -> vector clock
         self._tick: dict[int, int] = {}       # lane -> last tick (streams only)
+        self._width = 64                      # array length for new clocks
         # Event causality: id(event) -> clock, or a lazy resolver.
-        self._event_clock: dict[int, dict] = {}
+        self._event_clock: dict[int, object] = {}
         self._resolver: dict[int, object] = {}
         self._keep: dict[int, object] = {}
         # Launch-issue snapshots: id(op) -> issuing lane's clock at issue.
-        self._issue_clock: dict[int, dict] = {}
+        self._issue_clock: dict[int, object] = {}
         # Access ledger.
         self._buffers: dict = {}
         self._seen_pairs: set = set()
@@ -128,7 +169,7 @@ class Sanitizer(Observer):
         self._event_producer: dict[int, int] = {}  # id(op.done) -> id(op)
         # Posted transfers: id(handle) -> handle / posting clock snapshot.
         self._transfers: dict[int, object] = {}
-        self._post_clock: dict[int, dict] = {}
+        self._post_clock: dict[int, object] = {}
         self._runtime = None
         self._finished = False
         self.ops_checked = 0
@@ -147,8 +188,10 @@ class Sanitizer(Observer):
             self._lane_of[id(obj)] = lane
             self._lane_obj[lane] = obj
             self._lane_label[lane] = self._label(obj)
-            self._clock[lane] = {}
+            self._clock[lane] = None
             self._tick[lane] = 0
+            if lane >= self._width:
+                self._width *= 2
         return lane
 
     @staticmethod
@@ -161,8 +204,8 @@ class Sanitizer(Observer):
             return f"rank{rank}"
         return repr(obj)
 
-    def clock_of(self, event) -> dict:
-        """The vector clock carried by ``event``; ``{}`` (no ordering
+    def clock_of(self, event):
+        """The vector clock carried by ``event``; ``None`` (no ordering
         knowledge — always sound) for events the sanitizer never saw."""
         clock = self._event_clock.get(id(event))
         if clock is not None:
@@ -170,24 +213,23 @@ class Sanitizer(Observer):
         resolver = self._resolver.pop(id(event), None)
         if resolver is not None:
             clock = resolver()
-            self._event_clock[id(event)] = clock
+            self.register_event(event, clock)
             return clock
         children = getattr(event, "events", None)
         if children is not None:  # AllOf / AnyOf conditions
-            clock = {}
             complete = True
             for child in children:
                 if getattr(child, "processed", False):
-                    _merge(clock, self.clock_of(child))
+                    clock = _join(clock, self.clock_of(child))
                 else:
                     complete = False
             if complete:
-                self._event_clock[id(event)] = clock
-                self._keep[id(event)] = event
-            return clock
-        return {}
+                self.register_event(event, clock)
+        return clock
 
-    def register_event(self, event, clock: dict) -> None:
+    def register_event(self, event, clock) -> None:
+        """Bind ``clock`` to ``event`` (or message); it is never mutated
+        afterwards."""
         self._event_clock[id(event)] = clock
         self._keep[id(event)] = event
 
@@ -205,15 +247,20 @@ class Sanitizer(Observer):
 
     def on_op_dispatch(self, stream, op, deps) -> None:
         lane = self._lane(stream)
-        clock = dict(self._clock[lane])
-        issue = self._issue_clock.pop(id(op), None)
-        if issue:
-            _merge(clock, issue)
+        prev = self._clock[lane]
+        if prev is not None and len(prev) == self._width:
+            clock = prev.copy()
+        else:
+            clock = np.zeros(self._width, _TICK)
+            if prev is not None:
+                clock[:len(prev)] = prev
+        _join_into(clock, self._issue_clock.pop(id(op), None))
         for dep in deps:
-            _merge(clock, self.clock_of(dep))
+            _join_into(clock, self.clock_of(dep))
         tick = self._tick[lane] + 1
         self._tick[lane] = tick
         clock[lane] = tick
+        clock[0] = lane
         self._clock[lane] = clock
         self.register_event(op.done, clock)
         self.ops_checked += 1
@@ -229,17 +276,17 @@ class Sanitizer(Observer):
 
     def on_event_record(self, stream, cuda_event) -> None:
         """A CudaEvent recorded into a stream carries the stream's clock."""
-        self.register_event(cuda_event.fired, dict(self._clock[self._lane(stream)]))
+        self.register_event(cuda_event.fired, self._clock[self._lane(stream)])
 
     # -- hooks: runtime lanes (chares / ranks) ------------------------------
     def on_launch_issue(self, owner, op) -> None:
         """``owner`` issued ``op`` (a kernel launch, or a deferred transfer
         posted later): it carries ``owner``'s clock as of now."""
-        self._issue_clock[id(op)] = dict(self._clock[self._lane(owner)])
+        self._issue_clock[id(op)] = self._clock[self._lane(owner)]
 
     def on_wake(self, owner, event) -> None:
         lane = self._lane(owner)
-        _merge(self._clock[lane], self.clock_of(event))
+        self._clock[lane] = _join(self._clock[lane], self.clock_of(event))
 
     def on_msg_deposit(self, msg, owner, event) -> None:
         """Record the causal clock a mailbox deposit carries: the sender's
@@ -248,25 +295,24 @@ class Sanitizer(Observer):
         if event is not None:
             clock = self.clock_of(event)
         elif owner is not None:
-            clock = dict(self._clock[self._lane(owner)])
+            clock = self._clock[self._lane(owner)]
         else:
-            clock = {}
-        self._event_clock[id(msg)] = clock
-        self._keep[id(msg)] = msg
+            clock = None
+        self.register_event(msg, clock)
 
     def on_msg_consume(self, owner, msg) -> None:
         lane = self._lane(owner)
-        clock = self._event_clock.get(id(msg))
-        if clock:
-            _merge(self._clock[lane], clock)
+        self._clock[lane] = _join(self._clock[lane], self._event_clock.get(id(msg)))
 
     def on_transfer_post(self, handle, owner, issued) -> None:
         """``owner`` posted ``handle``; a transfer announced earlier by
         ``on_launch_issue(owner, issued)`` carries the clock of that
         moment, since the owner may have moved on before the post."""
-        post_clock = self._issue_clock.pop(id(issued), None) if issued is not None else None
-        if post_clock is None:
-            post_clock = dict(self._clock[self._lane(owner)])
+        post_clock = _UNANNOUNCED
+        if issued is not None:
+            post_clock = self._issue_clock.pop(id(issued), _UNANNOUNCED)
+        if post_clock is _UNANNOUNCED:
+            post_clock = self._clock[self._lane(owner)]
         self._transfers[id(handle)] = handle
         self._post_clock[id(handle)] = post_clock
 
@@ -274,13 +320,10 @@ class Sanitizer(Observer):
             # Completion covers both endpoints' posting points.  Resolving
             # against the peer's *posting snapshot* (not its resolved done
             # clock) keeps the two resolvers independent of query order.
-            clock = dict(mine)
             peer = h.peer
-            if peer is not None:
-                peer_clock = self._post_clock.get(id(peer))
-                if peer_clock:
-                    _merge(clock, peer_clock)
-            return clock
+            if peer is None:
+                return mine
+            return _join(mine, self._post_clock.get(id(peer)))
 
         self._resolver[id(handle.done)] = resolve
         self._keep[id(handle)] = handle
@@ -297,12 +340,12 @@ class Sanitizer(Observer):
             state = self._buffers[buf] = _BufferState()
         last = state.last_write
         if last is not None:
-            if clock.get(last[0], 0) < last[1]:
+            if clock[last[0]] < last[1]:
                 self._race(buf, mode, name, task, last)
             self._check_declared_dep(buf, name, task, last)
         if mode == "w":
             for rlane, (rtick, rname, rtask) in state.reads.items():
-                if clock.get(rlane, 0) < rtick:
+                if clock[rlane] < rtick:
                     self._race(buf, "w", name, task, (rlane, rtick, rname, rtask),
                                prior_mode="read")
             state.reads = {}
@@ -345,20 +388,29 @@ class Sanitizer(Observer):
         )
 
     def _dep_closure(self, space, key) -> frozenset:
-        cache_key = (id(space), key)
-        closure = self._closure_cache.get(cache_key)
-        if closure is None:
-            seen: set = set()
-            stack = list(space.declared_deps(key))
-            while stack:
-                dep = stack.pop()
-                if dep in seen:
+        """Every task ``key`` transitively depends on, built from its deps'
+        memoised closures (post-order, no recursion)."""
+        cache = self._closure_cache
+        sid = id(space)
+        stack = [key]
+        expanding = set()  # keys waiting on their deps' closures
+        while stack:
+            top = stack[-1]
+            if (sid, top) in cache:
+                stack.pop()
+                continue
+            deps = space.declared_deps(top)
+            if top not in expanding:
+                expanding.add(top)
+                todo = [d for d in deps if (sid, d) not in cache and d not in expanding]
+                if todo:
+                    stack.extend(todo)
                     continue
-                seen.add(dep)
-                stack.extend(space.declared_deps(dep))
-            closure = frozenset(seen)
-            self._closure_cache[cache_key] = closure
-        return closure
+            cache[(sid, top)] = frozenset(deps).union(
+                *(cache.get((sid, d), ()) for d in deps))
+            expanding.discard(top)
+            stack.pop()
+        return cache[(sid, key)]
 
     # -- finish-time checks -------------------------------------------------
     def finish(self, raise_on_findings: bool = True) -> "Sanitizer":

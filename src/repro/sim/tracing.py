@@ -135,6 +135,9 @@ class IntervalTracker:
         self.name = name
         self.spans: list[tuple[float, float]] = []
         self._open: list[float] = []
+        # The last busy_seconds answer, keyed by (span count, t0, t1).
+        self._busy_key: Optional[tuple] = None
+        self._busy_total = 0.0
 
     def begin(self) -> int:
         """Open a busy span; returns a token for :meth:`end`."""
@@ -156,11 +159,17 @@ class IntervalTracker:
         """Total busy time within the window ``[t0, t1]``."""
         if t1 is None:
             t1 = self.engine.now
+        # Spans are only ever appended, so the same count and window give
+        # the same answer (a run and its perf report both ask for it).
+        key = (len(self.spans), t0, t1)
+        if key == self._busy_key:
+            return self._busy_total
         total = 0.0
         for a, b in self.busy_union():
             lo, hi = max(a, t0), min(b, t1)
             if hi > lo:
                 total += hi - lo
+        self._busy_key, self._busy_total = key, total
         return total
 
     def utilization(self, t0: float = 0.0, t1: Optional[float] = None) -> float:

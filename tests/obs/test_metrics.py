@@ -238,3 +238,99 @@ def test_overflow_total_surfaces_in_summaries():
     snap = reg.snapshot()[OVERFLOW_METRIC]
     assert snap["kind"] == "counter"
     assert snap["series"] == [{"labels": {"metric": "leaky"}, "value": 2}]
+
+
+# ---------------------------------------------------------------------------
+# Label-key cache and per-event cell binding: same series as building the
+# key from the labels on every sample
+# ---------------------------------------------------------------------------
+
+
+def _series(metric) -> dict:
+    return dict(metric.series)
+
+
+def test_key_cache_keeps_equal_hashing_values_apart():
+    # pe=1, pe=True and pe=1.0 hash equal but render "1", "True", "1.0".
+    reg = MetricsRegistry()
+    for value in (True, 1, 1.0, True, 1):
+        reg.inc("c", pe=value)
+        reg.set("g", 5, pe=value)
+        reg.observe("h", 100.0, pe=value)
+    assert _series(reg.get("c")) == {
+        (("pe", "True"),): 2.0, (("pe", "1"),): 2.0, (("pe", "1.0"),): 1.0}
+    assert set(reg.get("g").series) == set(reg.get("c").series)
+    assert reg.get("h").count(pe=True) == 2 and reg.get("h").count(pe=1.0) == 1
+
+
+def test_key_cache_ignores_keyword_order():
+    reg = MetricsRegistry()
+    reg.inc("c", pe=0, kind="entry")
+    reg.inc("c", kind="entry", pe=0)
+    reg.inc("c", kind="entry", pe=0)
+    reg.set("g", 3, kind="entry", pe=0)
+    reg.set("g", 1, pe=0, kind="entry")
+    key = (("kind", "entry"), ("pe", "0"))
+    assert _series(reg.get("c")) == {key: 3.0}
+    assert _series(reg.get("g")) == {key: {"value": 1, "max": 3}}
+    assert reg.snapshot()["c"]["series"] == [
+        {"labels": {"kind": "entry", "pe": "0"}, "value": 3.0}]
+
+
+def test_key_cache_accepts_unhashable_label_values():
+    reg = MetricsRegistry()
+    reg.inc("c", route=[0, 1])
+    reg.inc("c", route=[0, 1])
+    assert _series(reg.get("c")) == {(("route", "[0, 1]"),): 2.0}
+
+
+def test_overflow_counts_every_folded_sample_and_warns_once():
+    reg = MetricsRegistry(max_series=2)
+    reg.inc("c", pe=0)
+    reg.inc("c", pe=1)
+    with pytest.warns(RuntimeWarning) as caught:
+        for pe in (2, 2, 3, 2):
+            reg.inc("c", pe=pe)  # the same folded label set, again and again
+        reg.inc("c", pe=0)       # a cached series still updates past the cap
+    assert len(caught) == 1
+    counter = reg.get("c")
+    assert counter.dropped_series == 4
+    assert _series(counter) == {
+        (("pe", "0"),): 2.0, (("pe", "1"),): 1.0, _OVERFLOW_KEY: 4.0}
+    assert reg.scalar_totals()["repro_metrics_overflow_total"] == 4.0
+
+
+def test_event_counters_appear_with_the_first_event():
+    reg = MetricsRegistry().attach(Engine())
+    assert reg.names() == [] and reg.snapshot() == {}
+
+    def proc(eng):
+        yield eng.timeout(1.0)
+        yield eng.timeout(1.0)
+
+    eng = Engine()
+    reg.attach(eng)
+    eng.process(proc(eng))
+    eng.run()
+    executed = reg.get("sim.events.executed")
+    assert executed.series == {(): float(eng.events_executed)}
+    assert reg.get("sim.events.scheduled").series == {(): float(eng.events_executed)}
+    reg.inc("sim.events.executed", 2)  # the helper adds to the bound cell
+    assert executed.value() == eng.events_executed + 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_event_counter_folded_into_overflow_counts_every_event():
+    reg = MetricsRegistry(max_series=1)
+    reg.inc("sim.events.executed", 0, pe=0)  # the one series slot is taken
+    eng = Engine()
+    reg.attach(eng)
+
+    def proc(eng):
+        yield eng.timeout(1.0)
+
+    eng.process(proc(eng))
+    eng.run()
+    counter = reg.get("sim.events.executed")
+    assert counter.dropped_series == eng.events_executed
+    assert counter.series[_OVERFLOW_KEY] == eng.events_executed

@@ -174,3 +174,44 @@ def test_compute_comm_overlap_matches_manual_computation():
     manual = overlap_seconds(merge_intervals(spans), cluster.network.inflight.spans)
     assert compute_comm_overlap(cluster) == manual
     assert result.overlap_s == manual  # driver uses the shared implementation
+
+
+# ---------------------------------------------------------------------------
+# PhaseSpans: one classification and one merge per phase, same numbers
+# ---------------------------------------------------------------------------
+
+
+def _clipped_reference(spans, t0, t1):
+    """Busy seconds of raw spans in [t0, t1], merging afresh every call."""
+    total = 0.0
+    for a, b in merge_intervals(spans):
+        lo, hi = max(a, t0), min(b, t1)
+        if hi > lo:
+            total += hi - lo
+    return total
+
+
+def test_phase_spans_match_per_window_merging():
+    from repro.obs import Observatory, collect_segments
+    from repro.obs.timeline import PhaseSpans
+
+    config = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
+                            odf=2, iterations=4, warmup=1)
+    obs = Observatory()
+    run_jacobi3d(config, observatory=obs)
+    spans = PhaseSpans(obs.tracer)
+    raw = phase_intervals(obs.tracer)
+    assert spans.raw == raw
+    boundaries = iteration_boundaries(obs.tracer)
+    t_end = boundaries[-1]
+    # Windows that start and end inside spans, between them and beyond them.
+    windows = list(zip([0.0] + boundaries, boundaries)) + [
+        (0.0, t_end), (t_end / 3, t_end / 2), (t_end, 2 * t_end)]
+    for t0, t1 in windows:
+        for phase, phase_spans in raw.items():
+            assert spans.busy(phase, t0, t1) == _clipped_reference(phase_spans, t0, t1)
+    assert [e["phases"] for e in per_iteration_phases(obs.tracer)] == [
+        {phase: _clipped_reference(s, t0, t1) for phase, s in raw.items()}
+        for t0, t1 in zip([0.0] + boundaries, boundaries)]
+    assert (collect_segments(obs.cluster, spans=spans)
+            == collect_segments(obs.cluster, obs.tracer, classify=classify_op))

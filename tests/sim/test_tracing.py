@@ -93,6 +93,30 @@ def test_interval_tracker_overlapping_spans_union():
     assert tracker.busy_seconds() == 5.0
 
 
+def test_interval_tracker_busy_seconds_follows_new_spans():
+    # A repeated window is answered from the last call until a span is
+    # added; every answer equals a fresh merge of the spans.
+    eng = Engine()
+    tracker = IntervalTracker(eng, "x")
+
+    def fresh(t0, t1):
+        return sum(max(0.0, min(b, t1) - max(a, t0))
+                   for a, b in merge_intervals(tracker.spans))
+
+    def proc():
+        for gap, busy in ((0.0, 2.0), (1.0, 1.0), (0.5, 0.25)):
+            yield eng.timeout(gap)
+            t = tracker.begin()
+            yield eng.timeout(busy)
+            tracker.end(t)
+            for t0, t1 in ((0.0, 10.0), (0.0, 10.0), (1.0, 3.5), (0.0, 10.0)):
+                assert tracker.busy_seconds(t0, t1) == fresh(t0, t1)
+
+    eng.process(proc())
+    eng.run()
+    assert tracker.busy_seconds(0.0, 10.0) == 3.25
+
+
 def test_interval_tracker_windowed_busy():
     eng = Engine()
     tracker = IntervalTracker(eng, "x")
